@@ -5,11 +5,11 @@
 //! plus one engine activity measurement — and differ only in how every
 //! passing `(V, f)` point is converted to µW:
 //!
-//! * **reference** (`PowerBackend::Reference`, the seed behaviour):
+//! * **reference** (the seed behaviour, built here as an oracle):
 //!   rebuild `PowerAnalyzer` (one connectivity walk), then one full
 //!   module walk with per-instance `BTreeMap<String, _>` group churn
 //!   per point;
-//! * **compiled** (`PowerBackend::Compiled`, the product path): the
+//! * **compiled** (`shmoo_with_power`, the product path): the
 //!   macro's `CompiledPower` — carried since `implement`, built from
 //!   the same lowering as the simulation and timing programs — resolves
 //!   the whole grid in one `report_many` batch over shared toggle-rate
@@ -28,7 +28,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use syndcim_core::{
-    assemble, implement, shmoo_with_power_on, DesignChoice, MacroSpec, PowerBackend, StaBackend,
+    assemble, implement, int_activity, shmoo, shmoo_with_power, DesignChoice, EvalBackend, ImplementedMacro,
+    MacroSpec, PowerShmoo,
 };
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::PowerAnalyzer;
@@ -41,6 +42,41 @@ fn grid() -> (Vec<f64>, Vec<f64>) {
     let voltages: Vec<f64> = (0..28).map(|i| 0.56 + 0.025 * i as f64).collect();
     let freqs: Vec<f64> = (0..18).map(|i| 50.0 * 1.25f64.powi(i)).collect();
     (voltages, freqs)
+}
+
+/// The reference power shmoo: the same compiled-STA grid and engine
+/// activity as [`shmoo_with_power`], but every passing point converted
+/// to µW by one walk of a freshly built reference `PowerAnalyzer`.
+fn reference_power_shmoo(
+    im: &ImplementedMacro,
+    lib: &CellLibrary,
+    voltages: &[f64],
+    freqs_mhz: &[f64],
+    passes: &[Vec<i64>],
+    weights: &[Vec<i64>],
+) -> PowerShmoo {
+    let grid = shmoo(im, lib, voltages, freqs_mhz);
+    let activity = int_activity(im, lib, 4, passes, weights, EvalBackend::Engine).expect("workload verifies");
+    let cycles = activity.lane_cycles.max(1);
+    let analyzer = PowerAnalyzer::with_wire_caps(&im.mac.module, lib, &im.wires.cap_ff)
+        .expect("implemented macros are well-formed");
+    let power_uw = grid
+        .pass
+        .iter()
+        .enumerate()
+        .map(|(vi, row)| {
+            row.iter()
+                .enumerate()
+                .map(|(fi, &ok)| {
+                    ok.then(|| {
+                        let op = OperatingPoint::at_voltage(grid.voltages[vi]);
+                        analyzer.from_activity(&activity.toggles, cycles, grid.freqs_mhz[fi], op).total_uw()
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    PowerShmoo { shmoo: grid, power_uw }
 }
 
 fn bench_power(c: &mut Criterion) {
@@ -65,67 +101,24 @@ fn bench_power(c: &mut Criterion) {
     let passes: Vec<Vec<i64>> = (0..2).map(|_| random_ints(&mut rng, 16, 4)).collect();
 
     let reference = c.bench_stats("power_shmoo_grid_reference", |b| {
-        b.iter(|| {
-            shmoo_with_power_on(
-                &im,
-                &lib,
-                &voltages,
-                &freqs,
-                4,
-                &passes,
-                &weights,
-                StaBackend::Compiled,
-                PowerBackend::Reference,
-            )
-            .expect("workload verifies")
-        })
+        b.iter(|| reference_power_shmoo(&im, &lib, &voltages, &freqs, &passes, &weights))
     });
     let compiled = c.bench_stats("power_shmoo_grid_compiled", |b| {
         b.iter(|| {
-            shmoo_with_power_on(
-                &im,
-                &lib,
-                &voltages,
-                &freqs,
-                4,
-                &passes,
-                &weights,
-                StaBackend::Compiled,
-                PowerBackend::Compiled,
-            )
-            .expect("workload verifies")
+            shmoo_with_power(&im, &lib, &voltages, &freqs, 4, &passes, &weights).expect("workload verifies")
         })
     });
     let shmoo_ratio = reference.ns_per_iter / compiled.ns_per_iter;
 
-    // Sanity: the two backends agree on the annotated grid (cheap spot
+    // Sanity: the two arms agree on the annotated grid (cheap spot
     // check; the exhaustive pinning lives in the test suites).
-    let fast = shmoo_with_power_on(
-        &im,
-        &lib,
-        &voltages,
-        &freqs,
-        4,
-        &passes,
-        &weights,
-        StaBackend::Compiled,
-        PowerBackend::Compiled,
-    )
-    .unwrap();
-    let slow = shmoo_with_power_on(
-        &im,
-        &lib,
-        &voltages,
-        &freqs,
-        4,
-        &passes,
-        &weights,
-        StaBackend::Compiled,
-        PowerBackend::Reference,
-    )
-    .unwrap();
-    assert_eq!(fast.shmoo.pass, slow.shmoo.pass, "backends must produce identical pass maps");
-    assert_eq!(fast.power_uw, slow.power_uw, "backends must produce identical power annotations");
+    let fast = shmoo_with_power(&im, &lib, &voltages, &freqs, 4, &passes, &weights).unwrap();
+    let slow = reference_power_shmoo(&im, &lib, &voltages, &freqs, &passes, &weights);
+    assert_eq!(fast.shmoo.pass, slow.shmoo.pass, "compiled and reference must produce identical pass maps");
+    assert_eq!(
+        fast.power_uw, slow.power_uw,
+        "compiled and reference must produce identical power annotations"
+    );
     let annotated = fast.power_uw.iter().flatten().filter(|p| p.is_some()).count();
 
     // --- single-report cost on the paper chip, both prebuilt ---------

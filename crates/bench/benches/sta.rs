@@ -1,8 +1,8 @@
 //! Reference vs. compiled STA on the sign-off paths that matter:
 //!
 //! * **shmoo grid** — the end-to-end product path. The reference arm is
-//!   the seed behaviour (`StaBackend::Reference`: rebuild + walk the
-//!   analyzer per voltage); the compiled arm sweeps the grid through
+//!   the seed behaviour (rebuild + walk the reference `Sta` per
+//!   voltage, built here as an oracle); the compiled arm sweeps the grid through
 //!   the timing program the macro has carried since `implement`
 //!   (`CompiledSta::fmax_many`). The one-time lowering cost — paid once
 //!   per implementation, next to placement and extraction — is measured
@@ -22,7 +22,8 @@
 //! tests.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use syndcim_core::{assemble, implement, shmoo_with, DesignChoice, MacroSpec, StaBackend};
+use syndcim_core::shmoo::V_MIN_FUNCTIONAL;
+use syndcim_core::{assemble, implement, shmoo, DesignChoice, ImplementedMacro, MacroSpec, Shmoo};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sta::{Sta, WireLoads};
 
@@ -32,6 +33,27 @@ fn grid() -> (Vec<f64>, Vec<f64>) {
     let voltages: Vec<f64> = (0..13).map(|i| 0.55 + 0.06 * i as f64).collect();
     let freqs: Vec<f64> = (0..12).map(|i| 100.0 * 1.45f64.powi(i)).collect();
     (voltages, freqs)
+}
+
+/// The reference shmoo walk: rebuild the reference analyzer over the
+/// macro's netlist and extracted wires for every functional voltage.
+fn reference_shmoo(im: &ImplementedMacro, lib: &CellLibrary, voltages: &[f64], freqs_mhz: &[f64]) -> Shmoo {
+    let pass = voltages
+        .iter()
+        .map(|&v| {
+            let fmax = (v >= V_MIN_FUNCTIONAL).then(|| {
+                Sta::new(&im.mac.module, lib)
+                    .expect("implemented macros are well-formed")
+                    .with_wire_loads(WireLoads {
+                        cap_ff: im.wires.cap_ff.clone(),
+                        delay_ps: im.wires.delay_ps.clone(),
+                    })
+                    .fmax_mhz(OperatingPoint::at_voltage(v))
+            });
+            freqs_mhz.iter().map(|&f| fmax.is_some_and(|fmax| f <= fmax)).collect()
+        })
+        .collect();
+    Shmoo { voltages: voltages.to_vec(), freqs_mhz: freqs_mhz.to_vec(), pass }
 }
 
 fn bench_sta(c: &mut Criterion) {
@@ -53,14 +75,13 @@ fn bench_sta(c: &mut Criterion) {
     let (voltages, freqs) = grid();
 
     let reference = c.bench_stats("sta_shmoo_grid_reference", |b| {
-        b.iter(|| shmoo_with(&im, &lib, &voltages, &freqs, StaBackend::Reference))
+        b.iter(|| reference_shmoo(&im, &lib, &voltages, &freqs))
     });
     // The product path: the macro carries its timing program from
     // `implement` (compiled once, next to placement/extraction), so a
     // shmoo sweep is pure batched evaluation.
-    let compiled = c.bench_stats("sta_shmoo_grid_compiled", |b| {
-        b.iter(|| shmoo_with(&im, &lib, &voltages, &freqs, StaBackend::Compiled))
-    });
+    let compiled =
+        c.bench_stats("sta_shmoo_grid_compiled", |b| b.iter(|| shmoo(&im, &lib, &voltages, &freqs)));
     // One-time lowering cost, reported for transparency: this is paid
     // once per `implement`, not per grid.
     let compile_cost = c.bench_stats("sta_compile_16x16_macro", |b| {
@@ -76,11 +97,11 @@ fn bench_sta(c: &mut Criterion) {
     });
     let shmoo_ratio = reference.ns_per_iter / compiled.ns_per_iter;
 
-    // Sanity: the two backends agree on the grid (cheap spot check; the
+    // Sanity: the two arms agree on the grid (cheap spot check; the
     // exhaustive pinning lives in the test suites).
-    let fast = shmoo_with(&im, &lib, &voltages, &freqs, StaBackend::Compiled);
-    let slow = shmoo_with(&im, &lib, &voltages, &freqs, StaBackend::Reference);
-    assert_eq!(fast.pass, slow.pass, "backends must produce identical shmoo grids");
+    let fast = shmoo(&im, &lib, &voltages, &freqs);
+    let slow = reference_shmoo(&im, &lib, &voltages, &freqs);
+    assert_eq!(fast.pass, slow.pass, "compiled and reference must produce identical shmoo grids");
 
     // --- single-analysis propagation speed on the paper chip ---------
     let chip_spec = MacroSpec::paper_test_chip();

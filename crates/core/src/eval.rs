@@ -95,9 +95,13 @@ pub struct MacMeasurement {
 /// Switching activity accumulated by one or more backend instances:
 /// per-net toggle totals plus the matching lane-cycle denominator.
 #[derive(Debug, Clone)]
-pub(crate) struct Activity {
+pub struct Activity {
+    /// Toggle count per net, indexed by net id.
     pub toggles: Vec<u64>,
+    /// Simulated cycles summed over every lane (the toggle-rate
+    /// denominator).
     pub lane_cycles: u64,
+    /// Channel outputs checked against the golden model.
     pub checked: usize,
 }
 
@@ -191,6 +195,30 @@ pub fn measure_int_with(
 /// carried since `implement` (compiled from the shared lowering) — no
 /// per-call netlist walk.
 ///
+/// ```
+/// use syndcim_core::{implement, int_activity, DesignChoice, EvalBackend, MacroSpec};
+/// use syndcim_pdk::CellLibrary;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let lib = CellLibrary::syn40();
+/// let spec = MacroSpec {
+///     h: 8, w: 8, mcr: 2,
+///     int_precisions: vec![1, 2, 4], fp_precisions: vec![],
+///     f_mac_mhz: 400.0, f_wu_mhz: 400.0, vdd_v: 0.9,
+///     ppa: Default::default(),
+/// };
+/// let im = implement(&lib, &spec, &DesignChoice::default())?;
+/// // Two INT4 channels (8 / pa), three passes of 8 activations each.
+/// let weights = vec![vec![3, -2, 1, 0, -4, 5, 2, -1], vec![1; 8]];
+/// let passes = vec![vec![1; 8], vec![-3; 8], vec![7, -8, 0, 2, 1, -1, 4, 3]];
+/// let a = int_activity(&im, &lib, 4, &passes, &weights, EvalBackend::Engine)?;
+/// assert_eq!(a.toggles.len(), im.mac.module.net_count());
+/// assert_eq!(a.checked, weights.len() * passes.len()); // channels × passes
+/// assert!(a.lane_cycles > 0);
+/// # Ok(())
+/// # }
+/// ```
+///
 /// # Errors
 ///
 /// [`CoreError::Precision`] for an unsupported `pa`,
@@ -198,7 +226,7 @@ pub fn measure_int_with(
 /// [`CoreError::FunctionalMismatch`] for golden-model disagreement —
 /// the same contract as [`measure_int`] (the seed flow panicked on the
 /// first two).
-pub(crate) fn int_activity(
+pub fn int_activity(
     im: &ImplementedMacro,
     lib: &CellLibrary,
     pa: u32,

@@ -58,18 +58,15 @@ pub use compiled::CompiledMacro;
 pub use design::{DesignChoice, DesignPoint, PpaEstimate};
 pub use error::{CoreError, FlowError};
 pub use eval::{
-    measure_fp, measure_fp_with, measure_int, measure_int_with, measure_weight_update,
-    measure_weight_update_patterns, measure_weight_update_with, EvalBackend, MacMeasurement,
+    int_activity, measure_fp, measure_fp_with, measure_int, measure_int_with, measure_weight_update,
+    measure_weight_update_patterns, measure_weight_update_with, Activity, EvalBackend, MacMeasurement,
     WeightUpdateMeasurement, DEFAULT_WU_PATTERNS,
 };
 pub use faults::{measure_weight_update_coverage, port_net, FaultCoverageReport};
-pub use flow::{implement, implement_with, FlowReport, ImplementedMacro, PowerBackend, StaBackend};
+pub use flow::{implement, FlowReport, ImplementedMacro};
 pub use pareto::pareto_frontier;
 pub use search::{search, SearchResult};
-pub use shmoo::{
-    shmoo, shmoo_with, shmoo_with_power, shmoo_with_power_on, shmoo_yield, PowerShmoo, Shmoo, YieldReport,
-    YieldShmoo,
-};
+pub use shmoo::{shmoo, shmoo_with_power, shmoo_yield, PowerShmoo, Shmoo, YieldReport, YieldShmoo};
 pub use spec::{MacroSpec, PpaWeights, SpecError};
 
 // Fault-plan and variation building blocks, re-exported so campaign

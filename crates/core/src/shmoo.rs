@@ -8,13 +8,12 @@
 
 use syndcim_engine::EngineSim;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_power::PowerAnalyzer;
 use syndcim_sta::VariationModel;
 use syndcim_telemetry as telemetry;
 
 use crate::error::CoreError;
 use crate::eval::{int_activity, EvalBackend};
-use crate::flow::{ImplementedMacro, PowerBackend, StaBackend};
+use crate::flow::ImplementedMacro;
 
 /// Minimum supply for reliable bitcell operation (read/write margin),
 /// in volts.
@@ -58,51 +57,23 @@ impl Shmoo {
     }
 }
 
-/// Sweep the shmoo grid for `im` on the compiled STA (the macro's
-/// timing program evaluates every functional voltage in one batch).
-pub fn shmoo(im: &ImplementedMacro, lib: &CellLibrary, voltages: &[f64], freqs_mhz: &[f64]) -> Shmoo {
-    shmoo_with(im, lib, voltages, freqs_mhz, StaBackend::default())
-}
-
-/// [`shmoo`] on an explicit STA backend.
-///
-/// `Compiled` resolves the whole voltage axis with
-/// [`syndcim_sta::CompiledSta::fmax_many`] on the macro's cached timing
-/// program; `Reference` rebuilds and walks the reference analyzer per
-/// voltage (the seed behaviour). The two grids are identical — pinned
-/// by the shmoo regression tests.
-pub fn shmoo_with(
-    im: &ImplementedMacro,
-    lib: &CellLibrary,
-    voltages: &[f64],
-    freqs_mhz: &[f64],
-    backend: StaBackend,
-) -> Shmoo {
+/// Sweep the shmoo grid for `im` on the compiled STA: the macro's
+/// timing program resolves every functional voltage in one
+/// [`syndcim_sta::CompiledSta::fmax_many`] batch. The grid is pinned
+/// identical to a per-voltage walk of the reference
+/// [`syndcim_sta::Sta`] by the shmoo regression tests.
+pub fn shmoo(im: &ImplementedMacro, _lib: &CellLibrary, voltages: &[f64], freqs_mhz: &[f64]) -> Shmoo {
     telemetry::span!("shmoo");
     telemetry::counter("shmoo.grids").incr();
     telemetry::counter("shmoo.points").add((voltages.len() * freqs_mhz.len()) as u64);
     // `fmax` per voltage; `None` below the bitcell retention limit.
-    let fmaxes: Vec<Option<f64>> = match backend {
-        StaBackend::Compiled => {
-            let ops: Vec<OperatingPoint> = voltages
-                .iter()
-                .filter(|&&v| v >= V_MIN_FUNCTIONAL)
-                .map(|&v| OperatingPoint::at_voltage(v))
-                .collect();
-            let mut batch = im.compiled.sta.fmax_many(&ops).into_iter();
-            voltages
-                .iter()
-                .map(|&v| (v >= V_MIN_FUNCTIONAL).then(|| batch.next().expect("one fmax per op")))
-                .collect()
-        }
-        StaBackend::Reference => voltages
-            .iter()
-            .map(|&v| {
-                (v >= V_MIN_FUNCTIONAL)
-                    .then(|| im.fmax_mhz_with(lib, OperatingPoint::at_voltage(v), StaBackend::Reference))
-            })
-            .collect(),
-    };
+    let ops: Vec<OperatingPoint> =
+        voltages.iter().filter(|&&v| v >= V_MIN_FUNCTIONAL).map(|&v| OperatingPoint::at_voltage(v)).collect();
+    let mut batch = im.compiled.sta.fmax_many(&ops).into_iter();
+    let fmaxes: Vec<Option<f64>> = voltages
+        .iter()
+        .map(|&v| (v >= V_MIN_FUNCTIONAL).then(|| batch.next().expect("one fmax per op")))
+        .collect();
 
     let pass = fmaxes
         .iter()
@@ -133,9 +104,11 @@ pub struct PowerShmoo {
 /// (all passes as parallel lanes) and the toggle counts are rescaled
 /// analytically across the grid — one simulation instead of one per
 /// grid point. The per-corner rescaling runs on the macro's compiled
-/// power program ([`syndcim_power::CompiledPower::report_many`]
-/// resolves every passing point in one batch over shared rate
-/// columns); see [`shmoo_with_power_on`] for backend selection.
+/// power program: [`syndcim_power::CompiledPower::report_many`]
+/// resolves every passing point in one batch over shared rate columns.
+/// The annotated power is pinned identical to the reference
+/// [`syndcim_power::PowerAnalyzer`] at every passing point by the shmoo
+/// regression tests.
 ///
 /// # Errors
 ///
@@ -150,97 +123,30 @@ pub fn shmoo_with_power(
     passes: &[Vec<i64>],
     weights: &[Vec<i64>],
 ) -> Result<PowerShmoo, CoreError> {
-    shmoo_with_power_on(
-        im,
-        lib,
-        voltages,
-        freqs_mhz,
-        pa,
-        passes,
-        weights,
-        StaBackend::default(),
-        PowerBackend::default(),
-    )
-}
-
-/// [`shmoo_with_power`] with explicit STA and power backends (activity
-/// measurement stays on the simulation engine either way). Exists so
-/// regression tests can pin the compiled grid — pass map *and*
-/// annotated power — against the reference analyzers.
-///
-/// # Errors
-///
-/// Returns [`CoreError::FunctionalMismatch`] if the workload fails its
-/// golden-model check.
-#[allow(clippy::too_many_arguments)]
-pub fn shmoo_with_power_on(
-    im: &ImplementedMacro,
-    lib: &CellLibrary,
-    voltages: &[f64],
-    freqs_mhz: &[f64],
-    pa: u32,
-    passes: &[Vec<i64>],
-    weights: &[Vec<i64>],
-    sta: StaBackend,
-    power: PowerBackend,
-) -> Result<PowerShmoo, CoreError> {
     telemetry::span!("shmoo.power");
-    let grid = shmoo_with(im, lib, voltages, freqs_mhz, sta);
+    let grid = shmoo(im, lib, voltages, freqs_mhz);
     let activity = int_activity(im, lib, pa, passes, weights, EvalBackend::Engine)?;
     let cycles = activity.lane_cycles.max(1);
-    let power_uw = match power {
-        PowerBackend::Compiled => {
-            // One batch over the macro's compiled power program: the
-            // toggle-rate columns are resolved once and every passing
-            // point is a linear pass over shared read-only arrays.
-            let points: Vec<(f64, OperatingPoint)> = grid
-                .pass
-                .iter()
-                .enumerate()
-                .flat_map(|(vi, row)| {
-                    row.iter().enumerate().filter(|(_, &ok)| ok).map(move |(fi, _)| (vi, fi))
-                })
-                .map(|(vi, fi)| (grid.freqs_mhz[fi], OperatingPoint::at_voltage(grid.voltages[vi])))
-                .collect();
-            let mut reports = im.compiled.power.report_many(&activity.toggles, cycles, &points).into_iter();
-            grid.pass
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|&ok| {
-                            ok.then(|| reports.next().expect("one report per passing point").total_uw())
-                        })
-                        .collect()
-                })
+    // One batch over the macro's compiled power program: the toggle-rate
+    // columns are resolved once and every passing point is a linear pass
+    // over shared read-only arrays.
+    let points: Vec<(f64, OperatingPoint)> = grid
+        .pass
+        .iter()
+        .enumerate()
+        .flat_map(|(vi, row)| row.iter().enumerate().filter(|(_, &ok)| ok).map(move |(fi, _)| (vi, fi)))
+        .map(|(vi, fi)| (grid.freqs_mhz[fi], OperatingPoint::at_voltage(grid.voltages[vi])))
+        .collect();
+    let mut reports = im.compiled.power.report_many(&activity.toggles, cycles, &points).into_iter();
+    let power_uw = grid
+        .pass
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|&ok| ok.then(|| reports.next().expect("one report per passing point").total_uw()))
                 .collect()
-        }
-        PowerBackend::Reference => {
-            // The seed behaviour: rebuild the analyzer, then one module
-            // walk per passing grid point.
-            let analyzer = PowerAnalyzer::with_wire_caps(&im.mac.module, lib, &im.wires.cap_ff)?;
-            grid.pass
-                .iter()
-                .enumerate()
-                .map(|(vi, row)| {
-                    row.iter()
-                        .enumerate()
-                        .map(|(fi, &ok)| {
-                            ok.then(|| {
-                                analyzer
-                                    .from_activity(
-                                        &activity.toggles,
-                                        cycles,
-                                        grid.freqs_mhz[fi],
-                                        OperatingPoint::at_voltage(grid.voltages[vi]),
-                                    )
-                                    .total_uw()
-                            })
-                        })
-                        .collect()
-                })
-                .collect()
-        }
-    };
+        })
+        .collect();
     Ok(PowerShmoo { shmoo: grid, power_uw })
 }
 
@@ -446,6 +352,67 @@ mod tests {
     use crate::design::DesignChoice;
     use crate::flow::implement;
     use crate::spec::MacroSpec;
+    use syndcim_power::PowerAnalyzer;
+    use syndcim_sta::{Sta, WireLoads};
+
+    /// Oracle for [`shmoo`]: rebuild and walk the reference analyzer
+    /// per functional voltage.
+    fn reference_shmoo(
+        im: &ImplementedMacro,
+        lib: &CellLibrary,
+        voltages: &[f64],
+        freqs_mhz: &[f64],
+    ) -> Shmoo {
+        let pass = voltages
+            .iter()
+            .map(|&v| {
+                let fmax = (v >= V_MIN_FUNCTIONAL).then(|| {
+                    Sta::new(&im.mac.module, lib)
+                        .unwrap()
+                        .with_wire_loads(WireLoads {
+                            cap_ff: im.wires.cap_ff.clone(),
+                            delay_ps: im.wires.delay_ps.clone(),
+                        })
+                        .fmax_mhz(OperatingPoint::at_voltage(v))
+                });
+                freqs_mhz.iter().map(|&f| fmax.is_some_and(|fmax| f <= fmax)).collect()
+            })
+            .collect();
+        Shmoo { voltages: voltages.to_vec(), freqs_mhz: freqs_mhz.to_vec(), pass }
+    }
+
+    /// Oracle for the power annotation of [`shmoo_with_power`]: one
+    /// reference module walk per passing point of `grid`, on the same
+    /// engine-measured activity.
+    fn reference_power(
+        im: &ImplementedMacro,
+        lib: &CellLibrary,
+        grid: &Shmoo,
+        pa: u32,
+        passes: &[Vec<i64>],
+        weights: &[Vec<i64>],
+    ) -> Vec<Vec<Option<f64>>> {
+        let activity = int_activity(im, lib, pa, passes, weights, EvalBackend::Engine).unwrap();
+        let cycles = activity.lane_cycles.max(1);
+        let analyzer = PowerAnalyzer::with_wire_caps(&im.mac.module, lib, &im.wires.cap_ff).unwrap();
+        grid.pass
+            .iter()
+            .enumerate()
+            .map(|(vi, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(|(fi, &ok)| {
+                        ok.then(|| {
+                            let op = OperatingPoint::at_voltage(grid.voltages[vi]);
+                            analyzer
+                                .from_activity(&activity.toggles, cycles, grid.freqs_mhz[fi], op)
+                                .total_uw()
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 
     fn implemented() -> (ImplementedMacro, CellLibrary) {
         let lib = CellLibrary::syn40();
@@ -519,9 +486,7 @@ mod tests {
     /// Satellite regression: the compiled-STA shmoo must reproduce the
     /// reference analyzer's pass/fail map and annotated power exactly —
     /// same grid, same power at every passing point, over a grid dense
-    /// enough to cross the retention limit and the timing wall, with
-    /// every backend combination (compiled/reference × STA/power)
-    /// agreeing bit for bit.
+    /// enough to cross the retention limit and the timing wall.
     #[test]
     fn compiled_and_reference_shmoo_agree_on_pass_map_and_power() {
         use syndcim_sim::vectors::{random_ints, seeded_rng};
@@ -530,7 +495,7 @@ mod tests {
         let fs = [50.0, 150.0, 400.0, 900.0, 1500.0, 3000.0];
 
         let fast = shmoo(&im, &lib, &vs, &fs);
-        let slow = shmoo_with(&im, &lib, &vs, &fs, StaBackend::Reference);
+        let slow = reference_shmoo(&im, &lib, &vs, &fs);
         assert_eq!(fast.pass, slow.pass, "pass/fail maps must be identical");
         assert_eq!(fast.voltages, slow.voltages);
         assert_eq!(fast.freqs_mhz, slow.freqs_mhz);
@@ -539,18 +504,12 @@ mod tests {
         let weights: Vec<Vec<i64>> = (0..2).map(|_| random_ints(&mut rng, 8, 4)).collect();
         let passes: Vec<Vec<i64>> = (0..3).map(|_| random_ints(&mut rng, 8, 4)).collect();
         let fast_p = shmoo_with_power(&im, &lib, &vs, &fs, 4, &passes, &weights).unwrap();
-        for (sta, power) in [
-            (StaBackend::Reference, PowerBackend::Reference),
-            (StaBackend::Reference, PowerBackend::Compiled),
-            (StaBackend::Compiled, PowerBackend::Reference),
-        ] {
-            let other = shmoo_with_power_on(&im, &lib, &vs, &fs, 4, &passes, &weights, sta, power).unwrap();
-            assert_eq!(fast_p.shmoo.pass, other.shmoo.pass, "{sta:?}/{power:?}");
-            assert_eq!(
-                fast_p.power_uw, other.power_uw,
-                "annotated power must be identical per point ({sta:?}/{power:?})"
-            );
-        }
+        assert_eq!(fast_p.shmoo.pass, slow.pass, "power shmoo pass map must match the reference");
+        assert_eq!(
+            fast_p.power_uw,
+            reference_power(&im, &lib, &slow, 4, &passes, &weights),
+            "annotated power must be identical per point"
+        );
     }
 
     /// Dense voltage axes push `CompiledSta::fmax_many` over its
@@ -564,7 +523,7 @@ mod tests {
         let vs: Vec<f64> = (0..46).map(|i| 0.56 + 0.015 * i as f64).collect();
         let fs = [100.0, 350.0, 700.0, 1400.0, 2800.0];
         let fast = shmoo(&im, &lib, &vs, &fs);
-        let slow = shmoo_with(&im, &lib, &vs, &fs, StaBackend::Reference);
+        let slow = reference_shmoo(&im, &lib, &vs, &fs);
         assert_eq!(fast.pass, slow.pass, "parallel fmax_many must keep corner order");
         for vi in 0..vs.len() {
             assert_eq!(fast.fmax_at(vi), slow.fmax_at(vi), "fmax at index {vi}");

@@ -19,11 +19,6 @@
 //!   one word across cores (one executor per worker, all sharing one
 //!   compiled [`Program`]); lives in `syndcim-ir` and is re-exported
 //!   here for back-compatibility;
-//! * [`Lowering`] — the shared compilation front end (connectivity,
-//!   levelized order, dense net slots), now owned by the `syndcim-ir`
-//!   crate (re-exported here) and consumed by the compiled timing and
-//!   power programs too, so every fast path walks the netlist exactly
-//!   once and agrees on slot assignment.
 //!
 //! Both backends implement [`syndcim_sim::SimBackend`]; the interpreter
 //! remains the bit-exact reference the engine is differentially tested
@@ -76,13 +71,14 @@ pub use exec::{BatchExec, BatchSim, BatchSim256, BatchSim512, EngineSim};
 pub use fault::{EngineError, Fault, FaultKind, FaultPlan};
 pub use program::Program;
 pub use simd::{SimdBackend, SimdPolicy};
-pub use syndcim_ir::{default_threads, parallel_map, parallel_map_threads, Lowering, Symbol, Symbols};
+pub use syndcim_ir::{default_threads, parallel_map, parallel_map_threads};
 pub use word::{LaneWord, W256, W512};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
+    use syndcim_ir::Lowering;
     use syndcim_netlist::{NetId, NetlistBuilder};
     use syndcim_pdk::{CellKind, CellLibrary};
     use syndcim_sim::vectors::seeded_rng;

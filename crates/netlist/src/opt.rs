@@ -177,16 +177,14 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> usize {
         }
     }
     // Remove gates whose every output folded (their nets now drive nothing).
-    let fully: Vec<bool> = module
-        .instances
-        .iter()
-        .enumerate()
-        .map(|(i, inst)| to_fold.contains(&i) && inst.outputs.iter().all(|n| subst[n.index()].is_some()))
-        .collect();
+    let mut folded = vec![false; module.instances.len()];
+    for &i in &to_fold {
+        folded[i] = true;
+    }
     let before = module.instances.len();
     let mut idx = 0;
-    module.instances.retain(|_| {
-        let drop_it = fully[idx];
+    module.instances.retain(|inst| {
+        let drop_it = folded[idx] && inst.outputs.iter().all(|n| subst[n.index()].is_some());
         idx += 1;
         !drop_it
     });

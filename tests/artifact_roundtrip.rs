@@ -28,7 +28,8 @@
 //! the load takes a small fraction of the compile it replaces.
 
 use syndcim_core::{assemble, CompiledMacro, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, BatchSim256, Lowering};
+use syndcim_engine::{BatchSim, BatchSim256};
+use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::SimBackend;

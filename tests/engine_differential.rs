@@ -16,7 +16,8 @@
 
 use rand::Rng;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, EngineSim, Lowering, Program, SimdBackend};
+use syndcim_engine::{BatchSim, EngineSim, Program, SimdBackend};
+use syndcim_ir::Lowering;
 use syndcim_netlist::NetId;
 use syndcim_sim::golden::{bit_serial_schedule, twos_complement_bit, DcimChannelTrace};
 use syndcim_sim::vectors::{random_ints, seeded_rng};

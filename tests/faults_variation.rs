@@ -25,7 +25,8 @@ use syndcim_core::{
     assemble, implement, measure_fp, measure_int, measure_weight_update_patterns, shmoo_yield, CompiledMacro,
     DesignChoice, EvalBackend, FaultPlan, FlowError, MacroSpec, VariationModel,
 };
-use syndcim_engine::{BatchSim, BatchSim256, EngineError, EngineSim, Lowering, Program, SimdBackend};
+use syndcim_engine::{BatchSim, BatchSim256, EngineError, EngineSim, Program, SimdBackend};
+use syndcim_ir::Lowering;
 use syndcim_netlist::NetId;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::vectors::seeded_rng;

@@ -12,7 +12,8 @@
 //! group-path tree behind `CompiledPower::by_path_pj`.
 
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{Lowering, Program};
+use syndcim_engine::Program;
+use syndcim_ir::Lowering;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::PowerAnalyzer;
 use syndcim_sim::Simulator;

@@ -133,8 +133,8 @@ fn drc_reports_coverage_mismatch_instead_of_panicking() {
 
 /// Scale-tier `implement` end-to-end — placement, clean DRC, extraction
 /// and sign-off on the 256×256 / ~4.3×10⁵-net macro. Slow (seconds), so
-/// gated behind `SYNDCIM_SLOW_TESTS=1`; CI exercises the same path via
-/// `examples/scale_tier.rs` and the layout bench.
+/// gated behind `SYNDCIM_SLOW_TESTS=1`, which CI sets in its release-mode
+/// slow-arm step.
 #[test]
 fn scale_tier_implement_succeeds_with_clean_drc() {
     if std::env::var("SYNDCIM_SLOW_TESTS").map(|v| v != "1").unwrap_or(true) {

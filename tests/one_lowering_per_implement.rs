@@ -9,9 +9,10 @@
 //! concurrently running tests (each test file is its own process; tests
 //! *within* a file share one).
 
-use syndcim_core::{implement, implement_with, DesignChoice, MacroSpec, StaBackend};
+use syndcim_core::{implement, DesignChoice, MacroSpec};
 use syndcim_ir::Lowering;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
+use syndcim_sta::{Sta, WireLoads};
 
 fn tiny_spec() -> MacroSpec {
     MacroSpec {
@@ -55,10 +56,17 @@ fn implement_builds_exactly_one_lowering_shared_by_sim_sta_power() {
     let _power = im.compiled.power.report(&toggles, 4, 400.0, op);
     assert_eq!(Lowering::builds(), mid, "sign-off queries must not re-walk the netlist");
 
-    // The reference sign-off arm reuses the bundle's lowering too (a
-    // clone is a memcpy, not a walk).
+    // The reference analyzer, built as an oracle from the bundle's
+    // lowering (a clone is a memcpy, not a walk), adds no lowering and
+    // signs off identically.
+    let spec = tiny_spec();
     let before_ref = Lowering::builds();
-    let im_ref = implement_with(&lib, &tiny_spec(), &DesignChoice::default(), StaBackend::Reference).unwrap();
-    assert_eq!(Lowering::builds(), before_ref + 1, "the reference arm shares the single lowering");
-    assert_eq!(im_ref.timing.max_delay_ps, im.timing.max_delay_ps, "backends stay bit-identical");
+    let reference = Sta::with_lowering(&im.mac.module, &lib, im.compiled.lowering.clone())
+        .with_wire_loads(WireLoads { cap_ff: im.wires.cap_ff.clone(), delay_ps: im.wires.delay_ps.clone() })
+        .analyze_at(spec.mac_period_ps(), OperatingPoint::at_voltage(spec.vdd_v));
+    assert_eq!(Lowering::builds(), before_ref, "the reference oracle shares the single lowering");
+    assert_eq!(
+        reference.max_delay_ps, im.timing.max_delay_ps,
+        "compiled sign-off matches the oracle bit for bit"
+    );
 }
