@@ -2,8 +2,10 @@
 //! MCR 2 — ≥10⁵ nets, well past the 64×64 paper chip) lowered through
 //! the shared IR, plus the memory gate of the interned-symbol layer.
 //!
-//! Two things are measured and merged into `BENCH_engine.json`:
+//! Three things are measured and merged into `BENCH_engine.json`:
 //!
+//! * **netlist cleanup** — `optimize` on the freshly assembled macro,
+//!   in ms;
 //! * **lowering throughput** — `Lowering::validated` (connectivity +
 //!   levelization + name interning) and the full `CompiledMacro`
 //!   bundle compile on the large macro, in ms and nets/s;
@@ -19,11 +21,13 @@
 //! the compiled bundle answers an STA query and a power report on the
 //! ~4×10⁵-net macro.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::Instant;
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use syndcim_bench::merge_bench_artifact;
 use syndcim_core::{assemble, CompiledMacro, DesignChoice, MacroSpec};
 use syndcim_ir::Lowering;
-use syndcim_netlist::Module;
+use syndcim_netlist::{optimize, Module};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sta::WireLoads;
 
@@ -35,6 +39,9 @@ const MIN_NETS: usize = 100_000;
 /// Required memory reduction of interned names vs the string-table
 /// baseline.
 const MIN_MEMORY_REDUCTION: f64 = 2.0;
+
+/// Timed `optimize` runs on the large macro (the median is reported).
+const OPTIMIZE_RUNS: usize = 7;
 
 /// The 256×256 MCR-2 dense-INT spec backing the scale tier.
 fn large_spec() -> MacroSpec {
@@ -93,6 +100,22 @@ fn bench_lowering(c: &mut Criterion) {
         module.groups.len()
     );
 
+    // --- netlist cleanup on the large macro --------------------------
+    // Hand-timed: `optimize` rewrites its module in place, so every run
+    // needs a fresh copy, and `Bencher::iter` would time that clone
+    // along with the pass. Each copy is made before the clock starts.
+    let mut optimize_ns: Vec<u128> = (0..OPTIMIZE_RUNS)
+        .map(|_| {
+            let mut m = module.clone();
+            let t0 = Instant::now();
+            black_box(optimize(&mut m, &lib));
+            t0.elapsed().as_nanos()
+        })
+        .collect();
+    optimize_ns.sort_unstable();
+    let optimize_ms = optimize_ns[OPTIMIZE_RUNS / 2] as f64 / 1e6;
+    println!("{:<44} {optimize_ms:>11.3} ms /iter   (median of {OPTIMIZE_RUNS})", "optimize_256x256");
+
     // --- lowering throughput on the large macro ----------------------
     let lower = c.bench_stats("lowering_256x256", |b| {
         b.iter(|| Lowering::validated(module, &lib).expect("generated macros are well-formed"))
@@ -134,8 +157,9 @@ fn bench_lowering(c: &mut Criterion) {
     println!("smoke: fmax {fmax:.0} MHz, static power {:.1} mW at 0.9 V", report.total_mw());
 
     merge_bench_artifact(
-        &["lowering_", "intern_"],
+        &["lowering_", "intern_", "optimize_"],
         &[
+            ("optimize_256x256_ms", optimize_ms),
             ("lowering_256x256_ms", lowering_ms),
             ("lowering_256x256_nets_vps", nets_per_s),
             ("lowering_compiled_macro_ms", bundle_ms),

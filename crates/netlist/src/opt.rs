@@ -1,14 +1,29 @@
-//! Netlist cleanup passes: constant propagation and dead-gate sweep.
+//! Netlist cleanup: constant propagation and dead-gate sweep.
 //!
-//! These play the gate-level-optimization role of the logic-synthesis
+//! This plays the gate-level-optimization role of the logic-synthesis
 //! stage: subcircuit generators may tie unused legs to constants (e.g.
-//! a half-populated compressor row, or a disabled MCR bank), and these
-//! passes fold such constants through the logic and remove gates whose
-//! outputs reach no port and no sequential element.
+//! a half-populated compressor row, or a disabled MCR bank), and
+//! [`optimize`] folds such constants through the logic and removes
+//! gates whose outputs reach no port and no sequential element.
+//!
+//! The whole cleanup is one pass over the module:
+//!
+//! 1. one walk builds a flat CSR fanout (`u32` offsets plus sink
+//!    instances), a flat `u32` driver table and the tie-cell seeds;
+//! 2. a worklist propagates constants from the tie outputs, evaluating
+//!    each touched gate on stack arrays;
+//! 3. the readers and output ports of constant nets are rewired onto
+//!    tie nets once;
+//! 4. one reverse sweep over the instances marks everything that
+//!    reaches an output port or a sequential element;
+//! 5. one stable `retain` drops folded and dead instances together.
+//!
+//! Constant values are the least fixpoint of a monotone per-gate rule,
+//! so the worklist reaches it in one pass whatever the instance order.
 
-use crate::analyze::{Connectivity, Driver};
-use crate::graph::{Module, NetId, PortDir};
-use syndcim_pdk::{CellFunction, CellKind, CellLibrary};
+use crate::graph::{GroupId, Instance, Module, Net, NetId, PortDir};
+use syndcim_pdk::{Cell, CellFunction, CellKind, CellLibrary};
+use syndcim_telemetry as telemetry;
 
 /// Result of running [`optimize`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -17,254 +32,336 @@ pub struct OptReport {
     pub folded: usize,
     /// Gates removed as dead logic.
     pub swept: usize,
-    /// Number of passes run until fixpoint.
+    /// Passes over the module (always 1).
     pub passes: usize,
 }
 
+/// Widest combinational fan-in in the library (the 4-2 compressor).
+const MAX_FANIN: usize = 5;
+/// Most outputs of one combinational cell (the 4-2 compressor).
+const MAX_FANOUT: usize = 3;
+/// Driver-table entry of an undriven net.
+const UNDRIVEN: u32 = u32::MAX;
+/// Driver-table entry of a net driven by an input port.
+const PORT: u32 = u32::MAX - 1;
+
+/// What the pass knows about a net.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Known {
     Unknown,
-    Const(bool),
+    /// Driven by a tie cell.
+    Tie(bool),
+    /// Driven by a gate proven constant; readers move to a tie net.
+    Folded(bool),
 }
 
-/// Fold constants through combinational gates and sweep dead logic until
-/// fixpoint. Ports and sequential elements are preserved; the module is
+impl Known {
+    fn value(self) -> Option<bool> {
+        match self {
+            Known::Unknown => None,
+            Known::Tie(v) | Known::Folded(v) => Some(v),
+        }
+    }
+}
+
+/// How the pass treats an instance, resolved once per library cell.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Comb,
+    Tie(bool),
+    /// State is observable behaviour: never folded, always a sweep root.
+    Seq,
+}
+
+impl Role {
+    fn of(cell: &Cell) -> Self {
+        match cell.function {
+            _ if cell.is_sequential() => Role::Seq,
+            CellFunction::Const(v) => Role::Tie(v),
+            _ => Role::Comb,
+        }
+    }
+}
+
+/// Instance readers of every net, as one flat CSR table.
+struct Fanout {
+    offsets: Vec<u32>,
+    sinks: Vec<u32>,
+}
+
+impl Fanout {
+    /// Fill the table from per-net reader counts (`counts[net]`, with one
+    /// spare slot at the end): the counts become running ends, and a
+    /// back-to-front fill slides every end down to its start.
+    fn from_counts(module: &Module, mut counts: Vec<u32>) -> Self {
+        let nets = counts.len() - 1;
+        let mut end = 0;
+        for c in &mut counts[..nets] {
+            end += *c;
+            *c = end;
+        }
+        counts[nets] = end;
+        let mut sinks = vec![0u32; end as usize];
+        for (i, inst) in module.instances.iter().enumerate().rev() {
+            for n in &inst.inputs {
+                let slot = &mut counts[n.index()];
+                *slot -= 1;
+                sinks[*slot as usize] = i as u32;
+            }
+        }
+        Fanout { offsets: counts, sinks }
+    }
+
+    fn sinks(&self, net: usize) -> &[u32] {
+        &self.sinks[self.offsets[net] as usize..self.offsets[net + 1] as usize]
+    }
+}
+
+/// Fold constants through combinational gates and sweep dead logic, in
+/// one pass. Ports and sequential elements are preserved; the module is
 /// rebuilt with unused instances removed (net ids are preserved — nets
 /// may become dangling, which is harmless for all downstream consumers).
 ///
+/// A gate is folded when every output is constant; a gate with only
+/// some constant outputs stays, but the readers of those outputs move
+/// onto a tie net. Tie nets are reused (the first existing `TieLo` /
+/// `TieHi`), else one tie cell per value is appended. A module that
+/// arrives with a multiply-driven net is folded but not swept.
+///
 /// Returns a report of the work done.
 pub fn optimize(module: &mut Module, lib: &CellLibrary) -> OptReport {
-    let mut report = OptReport::default();
-    loop {
-        report.passes += 1;
-        let folded = fold_constants(module, lib);
-        let swept = sweep_dead(module, lib);
-        report.folded += folded;
-        report.swept += swept;
-        if folded == 0 && swept == 0 {
-            return report;
-        }
-        // Safety valve: the passes strictly shrink the instance list, so
-        // this terminates; the cap only guards an internal logic error.
-        if report.passes > 64 {
-            return report;
-        }
-    }
-}
+    let roles: Vec<Role> = lib.cells().iter().map(Role::of).collect();
+    let role = |inst: &Instance| roles[inst.cell.index()];
+    let nets = module.net_count();
 
-/// One pass of constant folding. A gate all of whose *controlling* inputs
-/// are known constants is replaced by rewiring its output to a tie net.
-/// Returns the number of gates removed.
-fn fold_constants(module: &mut Module, lib: &CellLibrary) -> usize {
-    let mut known = vec![Known::Unknown; module.net_count()];
-    // Seed with tie cells.
-    for inst in &module.instances {
-        let cell = lib.cell(inst.cell);
-        if let CellFunction::Const(v) = cell.function {
-            known[inst.outputs[0].index()] = Known::Const(v);
+    let mut known = vec![Known::Unknown; nets];
+    let mut work: Vec<u32> = Vec::new();
+    let mut first_tie: [Option<NetId>; 2] = [None, None];
+    let (fanout, mut driver, multiply_driven) = {
+        telemetry::span!("opt.fanout");
+        let mut counts = vec![0u32; nets + 1];
+        let mut driver = vec![UNDRIVEN; nets];
+        let mut multiply_driven = false;
+        for p in module.input_ports() {
+            multiply_driven |= driver[p.net.index()] != UNDRIVEN;
+            driver[p.net.index()] = PORT;
         }
-    }
-    // Propagate in instance order repeatedly (cheap fixpoint; the graphs
-    // we build are shallow in constants).
-    let mut changed = true;
-    let mut evals = 0usize;
-    while changed && evals < 8 {
-        changed = false;
-        evals += 1;
-        let mut out_buf = Vec::new();
-        for inst in &module.instances {
-            let cell = lib.cell(inst.cell);
-            if cell.is_sequential() || matches!(cell.function, CellFunction::Const(_)) {
-                continue;
+        for (i, inst) in module.instances.iter().enumerate() {
+            for n in &inst.inputs {
+                counts[n.index()] += 1;
             }
-            let unknowns: Vec<usize> = inst
-                .inputs
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| known[n.index()] == Known::Unknown)
-                .map(|(i, _)| i)
-                .collect();
-            if unknowns.is_empty() && inst.inputs.is_empty() {
-                continue;
+            for n in &inst.outputs {
+                multiply_driven |= driver[n.index()] != UNDRIVEN;
+                driver[n.index()] = i as u32;
             }
-            // A cell output is constant iff it agrees across every
-            // assignment of the unknown inputs (cells have ≤ 5 inputs, so
-            // this exact check costs at most 32 evaluations).
-            let mut ins: Vec<bool> = inst
-                .inputs
-                .iter()
-                .map(|n| match known[n.index()] {
-                    Known::Const(v) => v,
-                    Known::Unknown => false,
-                })
-                .collect();
-            let n_out = cell.function.output_count();
-            let mut agreed: Vec<Option<bool>> = vec![None; n_out];
-            let mut consistent = vec![true; n_out];
-            for combo in 0u32..(1 << unknowns.len()) {
-                for (k, &pin) in unknowns.iter().enumerate() {
-                    ins[pin] = combo >> k & 1 == 1;
+            if let Role::Tie(v) = role(inst) {
+                let net = inst.outputs[0];
+                first_tie[v as usize].get_or_insert(net);
+                if known[net.index()] == Known::Unknown {
+                    known[net.index()] = Known::Tie(v);
+                    work.push(net.0);
                 }
-                cell.function.eval(&ins, false, &mut out_buf);
-                for (pin, &v) in out_buf.iter().enumerate() {
-                    match agreed[pin] {
-                        None => agreed[pin] = Some(v),
-                        Some(prev) if prev != v => consistent[pin] = false,
-                        Some(_) => {}
+            }
+        }
+        (Fanout::from_counts(module, counts), driver, multiply_driven)
+    };
+
+    let (dropped, folded) = {
+        telemetry::span!("opt.fold");
+        // Worklist propagation: a gate output is constant iff it agrees
+        // across every assignment of the gate's unknown inputs.
+        let mut folded_nets: Vec<u32> = Vec::new();
+        let mut out_buf = Vec::with_capacity(MAX_FANOUT);
+        while let Some(net) = work.pop() {
+            for &s in fanout.sinks(net as usize) {
+                let inst = &module.instances[s as usize];
+                if role(inst) != Role::Comb || inst.outputs.iter().all(|n| known[n.index()] != Known::Unknown)
+                {
+                    continue;
+                }
+                let function = lib.cell(inst.cell).function;
+                let k = function.input_count();
+                if inst.inputs.len() < k {
+                    continue;
+                }
+                let mut ins = [false; MAX_FANIN];
+                let mut unknown = [0usize; MAX_FANIN];
+                let mut u = 0;
+                for (pin, n) in inst.inputs[..k].iter().enumerate() {
+                    match known[n.index()].value() {
+                        Some(v) => ins[pin] = v,
+                        None => {
+                            unknown[u] = pin;
+                            u += 1;
+                        }
+                    }
+                }
+                let n_out = function.output_count();
+                let mut first = [false; MAX_FANOUT];
+                let mut consistent = [true; MAX_FANOUT];
+                for combo in 0u32..(1 << u) {
+                    for (j, &pin) in unknown[..u].iter().enumerate() {
+                        ins[pin] = combo >> j & 1 == 1;
+                    }
+                    function.eval(&ins[..k], false, &mut out_buf);
+                    if combo == 0 {
+                        first[..n_out].copy_from_slice(&out_buf);
+                    } else {
+                        for pin in 0..n_out {
+                            consistent[pin] &= out_buf[pin] == first[pin];
+                        }
+                    }
+                }
+                for pin in (0..n_out).filter(|&pin| consistent[pin]) {
+                    let out = inst.outputs[pin];
+                    if known[out.index()] == Known::Unknown {
+                        known[out.index()] = Known::Folded(first[pin]);
+                        work.push(out.0);
+                        folded_nets.push(out.0);
                     }
                 }
             }
-            for pin in 0..n_out {
-                if consistent[pin] {
-                    if let Some(v) = agreed[pin] {
-                        let net = inst.outputs[pin];
-                        if known[net.index()] != Known::Const(v) {
-                            known[net.index()] = Known::Const(v);
-                            changed = true;
+        }
+        telemetry::counter("opt.const_nets").add(folded_nets.len() as u64);
+
+        // Rewire the readers of every folded net onto a tie net of its
+        // value, then drop the gates all of whose outputs folded.
+        let mut dropped = vec![false; module.instances.len()];
+        let mut folded = 0;
+        if !folded_nets.is_empty() {
+            let mut tie: [Option<NetId>; 2] = [None, None];
+            for v in [false, true] {
+                if folded_nets.iter().any(|&n| known[n as usize] == Known::Folded(v)) {
+                    let net = ensure_tie(module, lib, first_tie[v as usize], v);
+                    if net.index() == known.len() {
+                        known.push(Known::Tie(v));
+                        driver.push(dropped.len() as u32);
+                        dropped.push(false);
+                    }
+                    tie[v as usize] = Some(net);
+                }
+            }
+            let subst = |n: NetId| match known[n.index()] {
+                Known::Folded(v) => tie[v as usize],
+                _ => None,
+            };
+            for &net in &folded_nets {
+                for &s in fanout.sinks(net as usize) {
+                    for n in module.instances[s as usize].inputs.iter_mut() {
+                        if let Some(t) = subst(*n) {
+                            *n = t;
                         }
                     }
                 }
             }
-        }
-    }
-
-    // Rewire: every constant net driven by a non-tie combinational gate
-    // gets its sinks redirected onto the tie cell; gates all of whose
-    // outputs are constant are removed outright.
-    let mut subst: Vec<Option<NetId>> = vec![None; module.net_count()];
-    let mut to_fold = Vec::new();
-    for (i, inst) in module.instances.iter().enumerate() {
-        let cell = lib.cell(inst.cell);
-        if cell.is_sequential() || matches!(cell.function, CellFunction::Const(_)) {
-            continue;
-        }
-        if inst.outputs.iter().any(|n| matches!(known[n.index()], Known::Const(_))) {
-            to_fold.push(i);
-        }
-    }
-    if to_fold.is_empty() {
-        return 0;
-    }
-    let need0 = to_fold
-        .iter()
-        .any(|&i| module.instances[i].outputs.iter().any(|n| known[n.index()] == Known::Const(false)));
-    let need1 = to_fold
-        .iter()
-        .any(|&i| module.instances[i].outputs.iter().any(|n| known[n.index()] == Known::Const(true)));
-    let tie0 = if need0 { Some(ensure_tie(module, lib, false)) } else { None };
-    let tie1 = if need1 { Some(ensure_tie(module, lib, true)) } else { None };
-    for &i in &to_fold {
-        for &out in &module.instances[i].outputs {
-            match known[out.index()] {
-                Known::Const(false) => subst[out.index()] = Some(tie0.expect("tie0 exists")),
-                Known::Const(true) => subst[out.index()] = Some(tie1.expect("tie1 exists")),
-                Known::Unknown => {}
+            for p in module.ports.iter_mut().filter(|p| p.dir == PortDir::Output) {
+                if let Some(t) = subst(p.net) {
+                    p.net = t;
+                }
+            }
+            for &net in &folded_nets {
+                // A dropped gate no longer drives its outputs, so each
+                // gate is dropped once.
+                let i = driver[net as usize];
+                if i >= PORT {
+                    continue;
+                }
+                let inst = &module.instances[i as usize];
+                if inst.outputs.iter().all(|n| matches!(known[n.index()], Known::Folded(_))) {
+                    dropped[i as usize] = true;
+                    folded += 1;
+                    for n in &inst.outputs {
+                        driver[n.index()] = UNDRIVEN;
+                    }
+                }
             }
         }
-    }
-    for inst in module.instances.iter_mut() {
-        for n in inst.inputs.iter_mut() {
-            if let Some(t) = subst[n.index()] {
-                *n = t;
-            }
-        }
-    }
-    for p in module.ports.iter_mut() {
-        if p.dir == PortDir::Output {
-            if let Some(t) = subst[p.net.index()] {
-                p.net = t;
-            }
-        }
-    }
-    // Remove gates whose every output folded (their nets now drive nothing).
-    let mut folded = vec![false; module.instances.len()];
-    for &i in &to_fold {
-        folded[i] = true;
-    }
-    let before = module.instances.len();
-    let mut idx = 0;
-    module.instances.retain(|inst| {
-        let drop_it = folded[idx] && inst.outputs.iter().all(|n| subst[n.index()].is_some());
-        idx += 1;
-        !drop_it
-    });
-    before - module.instances.len()
-}
-
-fn ensure_tie(module: &mut Module, lib: &CellLibrary, value: bool) -> NetId {
-    let kind = if value { CellKind::TieHi } else { CellKind::TieLo };
-    for inst in &module.instances {
-        if lib.cell(inst.cell).kind == kind {
-            return inst.outputs[0];
-        }
-    }
-    let id = NetId(module.nets.len() as u32);
-    module.nets.push(crate::graph::Net { name: if value { "_tie1".into() } else { "_tie0".into() } });
-    module.instances.push(crate::graph::Instance {
-        name: if value { "_tiehi".into() } else { "_tielo".into() },
-        cell: lib.id_of(kind),
-        inputs: vec![],
-        outputs: vec![id],
-        group: crate::graph::GroupId::TOP,
-    });
-    id
-}
-
-/// One pass of dead-gate sweeping: remove combinational instances none of
-/// whose outputs reach an output port or any other live instance.
-/// Returns the number removed.
-fn sweep_dead(module: &mut Module, lib: &CellLibrary) -> usize {
-    let conn = match Connectivity::build(module) {
-        Ok(c) => c,
-        // A transiently inconsistent module is left untouched.
-        Err(_) => return 0,
+        (dropped, folded)
     };
-    let n = module.instances.len();
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
 
-    // Roots: drivers of output ports, and all sequential instances (their
-    // state is observable behaviour), plus everything feeding a sequential
-    // data pin.
+    let swept = {
+        telemetry::span!("opt.sweep");
+        let keep = if multiply_driven {
+            dropped.iter().map(|&d| !d).collect()
+        } else {
+            live_instances(module, &roles, &driver)
+        };
+        let swept = keep.iter().zip(&dropped).filter(|&(&k, &d)| !k && !d).count();
+        let mut idx = 0;
+        module.instances.retain(|_| {
+            idx += 1;
+            keep[idx - 1]
+        });
+        swept
+    };
+
+    telemetry::counter("opt.folded").add(folded as u64);
+    telemetry::counter("opt.swept").add(swept as u64);
+    OptReport { folded, swept, passes: 1 }
+}
+
+/// Mark the instances that reach an output port or a sequential
+/// element, in one reverse sweep over the instances: a live instance
+/// marks the drivers of its inputs. Drivers earlier in instance order
+/// are reached by the sweep itself; the few behind it (register
+/// feedback, reordered cones) are drained from a stack on the spot.
+/// Folded gates drive nothing in `driver` and are not sequential, so
+/// they are never live.
+fn live_instances(module: &Module, roles: &[Role], driver: &[u32]) -> Vec<bool> {
+    let mut live = vec![false; module.instances.len()];
     for p in module.output_ports() {
-        if let Driver::Inst { inst, .. } = conn.driver_of(p.net) {
-            if !live[inst.index()] {
-                live[inst.index()] = true;
-                stack.push(inst.index());
+        let d = driver[p.net.index()];
+        if d < PORT {
+            live[d as usize] = true;
+        }
+    }
+    let mut behind: Vec<u32> = Vec::new();
+    for (i, inst) in module.instances.iter().enumerate().rev() {
+        if !live[i] {
+            if roles[inst.cell.index()] != Role::Seq {
+                continue;
             }
-        }
-    }
-    for (i, inst) in module.instances.iter().enumerate() {
-        if lib.cell(inst.cell).is_sequential() && !live[i] {
             live[i] = true;
-            stack.push(i);
         }
-    }
-    while let Some(i) = stack.pop() {
-        for &net in &module.instances[i].inputs {
-            if let Driver::Inst { inst, .. } = conn.driver_of(net) {
-                if !live[inst.index()] {
-                    live[inst.index()] = true;
-                    stack.push(inst.index());
+        behind.push(i as u32);
+        while let Some(j) = behind.pop() {
+            for n in &module.instances[j as usize].inputs {
+                let d = driver[n.index()];
+                if d < PORT && !live[d as usize] {
+                    live[d as usize] = true;
+                    if d as usize > i {
+                        behind.push(d);
+                    }
                 }
             }
         }
     }
+    live
+}
 
-    let before = module.instances.len();
-    let mut idx = 0;
-    module.instances.retain(|_| {
-        let keep = live[idx];
-        idx += 1;
-        keep
+/// The tie net for `value`: `existing` (the first tie cell of that value
+/// in the module) when there is one, else a freshly appended tie cell.
+fn ensure_tie(module: &mut Module, lib: &CellLibrary, existing: Option<NetId>, value: bool) -> NetId {
+    if let Some(net) = existing {
+        return net;
+    }
+    let kind = if value { CellKind::TieHi } else { CellKind::TieLo };
+    let id = NetId(module.nets.len() as u32);
+    module.nets.push(Net { name: if value { "_tie1".into() } else { "_tie0".into() } });
+    module.instances.push(Instance {
+        name: if value { "_tiehi".into() } else { "_tielo".into() },
+        cell: lib.id_of(kind),
+        inputs: vec![],
+        outputs: vec![id],
+        group: GroupId::TOP,
     });
-    before - module.instances.len()
+    id
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::validate;
+    use crate::analyze::{validate, Connectivity, Driver};
     use crate::builder::NetlistBuilder;
 
     #[test]
@@ -330,6 +427,25 @@ mod tests {
             1,
             "register must survive the sweep"
         );
+    }
+
+    #[test]
+    fn multiply_driven_module_is_folded_but_not_swept() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("t", &lib);
+        let a = b.input("a");
+        let zero = b.const0();
+        let shorted = b.not(a); // dead, and driven twice below
+        let _ = b.buf(a);
+        let x = b.and2(a, zero); // always 0
+        let y = b.or2(x, a);
+        b.output("y", y);
+        let mut m = b.finish();
+        m.instances[2].outputs[0] = shorted;
+        let before = m.instance_count();
+        let rep = optimize(&mut m, &lib);
+        assert_eq!((rep.folded, rep.swept), (1, 0), "{rep:?}");
+        assert_eq!(m.instance_count(), before - 1);
     }
 
     #[test]

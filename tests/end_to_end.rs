@@ -3,6 +3,7 @@
 
 use syndcim_core::{implement, measure_int, search, DesignChoice, MacroSpec};
 use syndcim_layout::check_drc;
+use syndcim_netlist::OptReport;
 use syndcim_pdk::OperatingPoint;
 use syndcim_scl::Scl;
 use syndcim_sim::vectors::{random_ints, seeded_rng};
@@ -104,4 +105,17 @@ fn weight_update_and_mac_frequencies_both_checked() {
     let mut scl = Scl::new();
     let res = search(&s, &mut scl);
     assert!(res.feasible.is_empty());
+}
+
+/// The flow's netlist cleanup on the search-chosen paper chip: nothing
+/// folds, 56 dead gates go, and it takes one pass.
+#[test]
+fn paper_chip_synth_report_is_pinned() {
+    let s = MacroSpec::paper_test_chip();
+    let mut scl = Scl::new();
+    let res = search(&s, &mut scl);
+    let best = res.best(&s).unwrap();
+    let lib = scl.cell_library().clone();
+    let im = implement(&lib, &s, &best.choice).unwrap();
+    assert_eq!(im.synth_report, OptReport { folded: 0, swept: 56, passes: 1 });
 }

@@ -78,6 +78,11 @@ fn implement_span_tree_nests_the_flow_phases() {
     for sub in ["lowering.connectivity", "lowering.levelize", "lowering.intern"] {
         assert_eq!(child(lowering, sub).count, 1, "{sub}");
     }
+    // The netlist cleanup is one pass with three inner phases.
+    let optimize = child(imp, "implement.optimize");
+    for sub in ["opt.fanout", "opt.fold", "opt.sweep"] {
+        assert_eq!(child(optimize, sub).count, 1, "{sub}");
+    }
     let compile = child(imp, "implement.compile");
     assert_eq!(child(compile, "engine.compile").count, 1);
     assert_eq!(child(compile, "sta.compile").count, 1);
@@ -85,6 +90,10 @@ fn implement_span_tree_nests_the_flow_phases() {
 
     // The flow counters landed.
     assert_eq!(im.report.counter("ir.lowerings"), Some(1));
+    assert_eq!(im.report.counter("opt.folded"), Some(im.synth_report.folded as u64));
+    assert_eq!(im.report.counter("opt.swept"), Some(im.synth_report.swept as u64));
+    assert!(im.synth_report.swept > 0, "the 8x8 macro carries dead logic");
+    assert!(im.report.counter("opt.const_nets").unwrap() > 0, "constants propagate through gates");
     assert_eq!(im.report.counter("engine.executors").unwrap_or(0), 0, "implement runs no simulation");
     assert!(im.report.gauge("engine.retained_bytes").unwrap() > 0);
     assert!(im.report.gauge("sta.retained_bytes").unwrap() > 0);
