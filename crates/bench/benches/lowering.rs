@@ -6,6 +6,8 @@
 //!
 //! * **netlist cleanup** — `optimize` on the freshly assembled macro,
 //!   in ms;
+//! * **name interning** — `Symbols::from_module` on the optimized macro
+//!   (the module the `implement` lowering interns), in ms;
 //! * **lowering throughput** — `Lowering::validated` (connectivity +
 //!   levelization + name interning) and the full `CompiledMacro`
 //!   bundle compile on the large macro, in ms and nets/s;
@@ -26,7 +28,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use syndcim_bench::merge_bench_artifact;
 use syndcim_core::{assemble, CompiledMacro, DesignChoice, MacroSpec};
-use syndcim_ir::Lowering;
+use syndcim_ir::{Lowering, Symbols};
 use syndcim_netlist::{optimize, Module};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sta::WireLoads;
@@ -42,6 +44,10 @@ const MIN_MEMORY_REDUCTION: f64 = 2.0;
 
 /// Timed `optimize` runs on the large macro (the median is reported).
 const OPTIMIZE_RUNS: usize = 7;
+
+/// Timed `Symbols::from_module` runs on the optimized large macro (the
+/// median is reported).
+const INTERN_RUNS: usize = 7;
 
 /// The 256×256 MCR-2 dense-INT spec backing the scale tier.
 fn large_spec() -> MacroSpec {
@@ -116,6 +122,24 @@ fn bench_lowering(c: &mut Criterion) {
     let optimize_ms = optimize_ns[OPTIMIZE_RUNS / 2] as f64 / 1e6;
     println!("{:<44} {optimize_ms:>11.3} ms /iter   (median of {OPTIMIZE_RUNS})", "optimize_256x256");
 
+    // --- name interning on the optimized large macro ------------------
+    // Hand-timed like `optimize` above, so both keys are the median of a
+    // fixed number of single calls rather than of the shim's batches.
+    let mut optimized = module.clone();
+    optimize(&mut optimized, &lib);
+    let mut intern_ns: Vec<u128> = (0..INTERN_RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let symbols = black_box(Symbols::from_module(&optimized));
+            let ns = t0.elapsed().as_nanos();
+            drop(symbols);
+            ns
+        })
+        .collect();
+    intern_ns.sort_unstable();
+    let intern_ms = intern_ns[INTERN_RUNS / 2] as f64 / 1e6;
+    println!("{:<44} {intern_ms:>11.3} ms /iter   (median of {INTERN_RUNS})", "intern_256x256");
+
     // --- lowering throughput on the large macro ----------------------
     let lower = c.bench_stats("lowering_256x256", |b| {
         b.iter(|| Lowering::validated(module, &lib).expect("generated macros are well-formed"))
@@ -160,6 +184,7 @@ fn bench_lowering(c: &mut Criterion) {
         &["lowering_", "intern_", "optimize_"],
         &[
             ("optimize_256x256_ms", optimize_ms),
+            ("intern_256x256_ms", intern_ms),
             ("lowering_256x256_ms", lowering_ms),
             ("lowering_256x256_nets_vps", nets_per_s),
             ("lowering_compiled_macro_ms", bundle_ms),

@@ -20,7 +20,9 @@ use std::io::Write as _;
 use std::path::Path;
 
 use crate::compiled::CompiledMacro;
-use syndcim_ir::artifact::{ArtifactError, ArtifactMeta, ArtifactReader, ArtifactWriter, SectionId};
+use syndcim_ir::artifact::{
+    ArtifactError, ArtifactMeta, ArtifactReader, ArtifactWriter, SectionId, SectionReader,
+};
 use syndcim_ir::{artifact as ir_artifact, Symbols};
 
 /// The `format` string stored in every artifact's meta section.
@@ -71,9 +73,7 @@ impl CompiledMacro {
         let reader = ArtifactReader::parse(bytes)?;
         let meta = read_meta(&reader)?;
 
-        let mut r = reader.reader(SectionId::Symbols)?;
-        let symbols = ir_artifact::decode_symbols(&mut r)?;
-        r.finish()?;
+        let symbols = decode_section(&reader, SectionId::Symbols, ir_artifact::decode_symbols)?;
         if symbols.net_count() as u64 != meta.net_count || symbols.inst_count() as u64 != meta.inst_count {
             return Err(ArtifactError::Malformed {
                 section: SectionId::Symbols,
@@ -87,22 +87,31 @@ impl CompiledMacro {
             });
         }
 
-        let mut r = reader.reader(SectionId::Lowering)?;
-        let lowering = ir_artifact::decode_lowering(&mut r, &symbols)?;
-        r.finish()?;
-
-        let mut r = reader.reader(SectionId::Program)?;
-        let program = syndcim_engine::artifact::decode_program(&mut r, &symbols)?;
-        r.finish()?;
-
-        let mut r = reader.reader(SectionId::Sta)?;
-        let sta = syndcim_sta::artifact::decode_sta(&mut r, &symbols)?;
-        r.finish()?;
-
-        let mut r = reader.reader(SectionId::Power)?;
-        let power = syndcim_power::artifact::decode_power(&mut r, &symbols)?;
-        r.finish()?;
-
+        // The remaining sections depend only on the symbols: the lowering
+        // decodes on a helper thread while this one decodes the three
+        // programs, so a load stays a small fraction of the compile it
+        // replaces. A lowering error still takes precedence.
+        let (lowering, programs) = std::thread::scope(|s| {
+            let lowering = s.spawn(|| {
+                decode_section(&reader, SectionId::Lowering, |r| ir_artifact::decode_lowering(r, &symbols))
+            });
+            let programs = (|| {
+                let program = decode_section(&reader, SectionId::Program, |r| {
+                    syndcim_engine::artifact::decode_program(r, &symbols)
+                })?;
+                let sta = decode_section(&reader, SectionId::Sta, |r| {
+                    syndcim_sta::artifact::decode_sta(r, &symbols)
+                })?;
+                let power = decode_section(&reader, SectionId::Power, |r| {
+                    syndcim_power::artifact::decode_power(r, &symbols)
+                })?;
+                Ok::<_, ArtifactError>((program, sta, power))
+            })();
+            let lowering = lowering.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (lowering, programs)
+        });
+        let lowering = lowering?;
+        let (program, sta, power) = programs?;
         Ok(CompiledMacro { lowering, program, sta, power })
     }
 
@@ -111,6 +120,19 @@ impl CompiledMacro {
         let bytes = std::fs::read(path)?;
         Self::load_from_bytes(&bytes)
     }
+}
+
+/// Checksum section `id` of `reader`, decode it with `decode` and check
+/// the decoder consumed the whole payload.
+fn decode_section<T>(
+    reader: &ArtifactReader<'_>,
+    id: SectionId,
+    decode: impl FnOnce(&mut SectionReader<'_>) -> Result<T, ArtifactError>,
+) -> Result<T, ArtifactError> {
+    let mut r = reader.reader(id)?;
+    let value = decode(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Read and sanity-check the meta section of a parsed container.

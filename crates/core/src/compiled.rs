@@ -72,9 +72,10 @@ impl CompiledMacro {
     ) -> Self {
         let program = Program::from_lowering(&lowering, module, lib);
         let power = PowerAnalyzer::from_lowering(module, lib, &lowering, &wires.cap_ff).compile();
-        // `with_lowering` takes the IR by value; the clone is a memcpy of
-        // already-built tables, not a netlist walk (Lowering::builds()
-        // stays put — that is the whole point of the bundle).
+        // `with_lowering` takes the IR by value; the clone shares every
+        // table behind an `Arc` (reference-count bumps, no copy and no
+        // netlist walk — Lowering::builds() stays put, which is the
+        // whole point of the bundle).
         let sta = Sta::with_lowering(module, lib, lowering.clone()).with_wire_loads(wires.clone()).compile();
         CompiledMacro { lowering, program, sta, power }
     }

@@ -13,8 +13,12 @@
 //!
 //! The split is deliberate:
 //!
-//! * [`InternerBuilder`] — mutable, deduplicating (hash-indexed), used
-//!   only while [`Symbols::from_module`] walks the module once;
+//! * [`InternerBuilder`] — mutable and deduplicating, used only while
+//!   [`Symbols::from_module`] walks the module once. Its index is keyed
+//!   into the arena itself: an open-addressing table of `u32` symbol
+//!   ids plus one Fx-style `u32` hash per symbol, so no name is stored
+//!   twice even while building (the index owns no key strings), and
+//!   the build is pre-sized from the module's name counts and bytes;
 //! * [`Interner`] — frozen, resolve-only: a contiguous byte arena plus
 //!   an end-offset table, so its retained memory is exactly
 //!   `Σ unique name bytes + 4 bytes per symbol` with no hash-map
@@ -27,7 +31,6 @@
 //! breakdown reconstruct full hierarchical group paths without storing
 //! a single path string per instance.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use syndcim_netlist::Module;
@@ -51,35 +54,136 @@ impl Symbol {
     }
 }
 
+/// Multiplier of the Fx-style name hash (the 64-bit constant of
+/// rustc's `FxHasher`).
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// Fx-style hash of a name: fold the bytes in little-endian 8-byte
+/// chunks (the zero-padded tail and then the length last), each step
+/// `(h.rotl(5) ^ chunk) * FX_SEED`, and keep the well-mixed high half
+/// of the final product. Names are short ASCII paths that differ in a
+/// few trailing digits, which this separates at one multiply per
+/// chunk; no hashing crate is needed.
+fn fx_hash(s: &str) -> u32 {
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    let mut chunks = s.as_bytes().chunks_exact(8);
+    let mut h = 0u64;
+    for chunk in &mut chunks {
+        h = step(h, u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+    }
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        h = step(h, u64::from_le_bytes(tail));
+    }
+    (step(h, s.len() as u64) >> 32) as u32
+}
+
+/// Empty slot of the builder's open-addressing index.
+const EMPTY: u32 = u32::MAX;
+
+/// Smallest index the builder allocates (a power of two).
+const MIN_SLOTS: usize = 16;
+
 /// Mutable, deduplicating interner used while names are collected.
 /// [`InternerBuilder::freeze`] discards the lookup index and returns
 /// the compact resolve-only [`Interner`].
-#[derive(Debug, Default)]
+///
+/// The index is keyed into the arena itself: an open-addressing table
+/// of `u32` symbol ids (linear probing, load ≤ ½) plus one `u32` hash
+/// per symbol, which filters probes before any string comparison and
+/// lets the table regrow without rehashing a single name. No name is
+/// ever stored twice, not even while building.
+#[derive(Debug)]
 pub struct InternerBuilder {
     buf: String,
     ends: Vec<u32>,
-    /// Build-time lookup only — dropped by `freeze`, so duplicate
-    /// string storage never survives into the retained artifact.
-    index: HashMap<String, u32>,
+    /// Hash of each symbol's string, by symbol id.
+    hashes: Vec<u32>,
+    /// Symbol id per slot, or `EMPTY`; the length is a power of two.
+    slots: Vec<u32>,
+}
+
+impl Default for InternerBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl InternerBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_capacity(0, 0)
+    }
+
+    /// An empty builder with room for `symbols` distinct names of
+    /// `bytes` total length before anything regrows.
+    fn with_capacity(symbols: usize, bytes: usize) -> Self {
+        InternerBuilder {
+            buf: String::with_capacity(bytes),
+            ends: Vec::with_capacity(symbols),
+            hashes: Vec::with_capacity(symbols),
+            slots: vec![EMPTY; (2 * symbols).next_power_of_two().max(MIN_SLOTS)],
+        }
     }
 
     /// Intern `s`, returning the existing symbol if the exact string
     /// was interned before (dedup is by full string equality).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would pass 4 GiB of name bytes or the
+    /// builder would hold more than `u32::MAX - 1` symbols: offsets and
+    /// symbol ids are `u32`, and a silent wrap would corrupt
+    /// [`Interner::resolve`].
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&i) = self.index.get(s) {
-            return Symbol(i);
+        let hash = fx_hash(s);
+        let mask = self.slots.len() - 1;
+        let mut pos = hash as usize & mask;
+        loop {
+            let id = self.slots[pos];
+            if id == EMPTY {
+                break;
+            }
+            if self.hashes[id as usize] == hash && self.str_of(id as usize) == s {
+                return Symbol(id);
+            }
+            pos = (pos + 1) & mask;
         }
-        let i = self.ends.len() as u32;
+        let id = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("interner overflow: more than u32::MAX - 1 distinct names");
         self.buf.push_str(s);
-        self.ends.push(self.buf.len() as u32);
-        self.index.insert(s.to_string(), i);
-        Symbol(i)
+        let end = u32::try_from(self.buf.len()).expect("interner overflow: more than 4 GiB of name bytes");
+        self.ends.push(end);
+        self.hashes.push(hash);
+        self.slots[pos] = id;
+        if 2 * self.ends.len() > self.slots.len() {
+            self.grow();
+        }
+        Symbol(id)
+    }
+
+    /// The string interned as symbol id `i`.
+    fn str_of(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.buf[start..self.ends[i] as usize]
+    }
+
+    /// Double the index, re-placing every symbol by its stored hash.
+    fn grow(&mut self) {
+        let mut slots = vec![EMPTY; 2 * self.slots.len()];
+        let mask = slots.len() - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut pos = hash as usize & mask;
+            while slots[pos] != EMPTY {
+                pos = (pos + 1) & mask;
+            }
+            slots[pos] = id as u32;
+        }
+        self.slots = slots;
     }
 
     /// Number of distinct strings interned so far.
@@ -207,37 +311,72 @@ impl Symbols {
     /// pass. Group heads (the path segment before the first `/`) and
     /// the per-group parent links are derived here, while the
     /// deduplicating builder index is still alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module's distinct names overflow the `u32`
+    /// offsets or ids of the arena (see [`InternerBuilder::intern`]).
     pub fn from_module(module: &Module) -> Symbols {
-        let mut b = InternerBuilder::new();
-        let net_syms: Vec<Symbol> = module.nets.iter().map(|n| b.intern(&n.name)).collect();
-        let inst_syms: Vec<Symbol> = module.instances.iter().map(|i| b.intern(&i.name)).collect();
-        let inst_group: Vec<u32> = module.instances.iter().map(|i| i.group.0).collect();
+        // Size the index and arena for every net, instance, port and
+        // group name once: the bulk names are distinct, so the build
+        // never regrows on a generated macro (repeated group paths and
+        // their prefixes stay well inside the load-factor headroom).
+        let names = module.nets.len() + module.instances.len() + module.ports.len() + module.groups.len();
+        let name_bytes = module.nets.iter().map(|n| n.name.len()).sum::<usize>()
+            + module.instances.iter().map(|i| i.name.len()).sum::<usize>()
+            + module.ports.iter().map(|p| p.name.len()).sum::<usize>()
+            + module.groups.iter().map(String::len).sum::<usize>();
+        let mut b = InternerBuilder::with_capacity(names, name_bytes);
+        let net_syms: Arc<[Symbol]> = module.nets.iter().map(|n| b.intern(&n.name)).collect();
+        let inst_syms: Arc<[Symbol]> = module.instances.iter().map(|i| b.intern(&i.name)).collect();
+        let inst_group: Arc<[u32]> = module.instances.iter().map(|i| i.group.0).collect();
 
         let mut group_syms = Vec::with_capacity(module.groups.len());
         let mut group_head_syms = Vec::with_capacity(module.groups.len());
         let mut group_node = Vec::with_capacity(module.groups.len());
-        // Path tree keyed by full-path symbol: duplicate-named groups
-        // share one node, and every `/`-prefix gets a node of its own
-        // (created before its children, so node ids are topologically
-        // ordered parents-first).
-        let mut node_index: HashMap<Symbol, u32> = HashMap::new();
+        // Path tree keyed by full-path symbol (a dense node id per
+        // symbol id, `NO_NODE` where the symbol has no node yet):
+        // duplicate-named groups share one node, and every `/`-prefix
+        // gets a node of its own (created before its children, so node
+        // ids are topologically ordered parents-first).
+        const NO_NODE: u32 = u32::MAX;
+        let mut node_of: Vec<u32> = Vec::new();
         let mut node_syms: Vec<Symbol> = Vec::new();
         let mut node_parent: Vec<u32> = Vec::new();
         for name in &module.groups {
-            group_syms.push(b.intern(name));
-            group_head_syms.push(b.intern(name.split('/').next().unwrap_or(name)));
-            let mut parent = NO_PARENT;
-            let mut node = NO_PARENT;
-            let bounds = name.match_indices('/').map(|(i, _)| i).chain(std::iter::once(name.len()));
-            for end in bounds {
-                let sym = b.intern(&name[..end]);
-                node = *node_index.entry(sym).or_insert_with(|| {
-                    node_syms.push(sym);
-                    node_parent.push(parent);
-                    node_syms.len() as u32 - 1
-                });
-                parent = node;
+            let sym = b.intern(name);
+            let mut node = node_of.get(sym.index()).copied().unwrap_or(NO_NODE);
+            if node == NO_NODE {
+                // First time this path is seen: intern its `/`-prefixes
+                // in order (the first one is the head, the last the path
+                // itself), creating a node for each that lacks one. A
+                // path seen before has all of these already, so skipping
+                // them creates no symbol and keeps first-occurrence order.
+                let mut parent = NO_PARENT;
+                let bounds = name.match_indices('/').map(|(i, _)| i).chain(std::iter::once(name.len()));
+                for end in bounds {
+                    let prefix = if end == name.len() { sym } else { b.intern(&name[..end]) };
+                    if node_of.len() <= prefix.index() {
+                        node_of.resize(b.len(), NO_NODE);
+                    }
+                    node = node_of[prefix.index()];
+                    if node == NO_NODE {
+                        node = node_syms.len() as u32;
+                        node_of[prefix.index()] = node;
+                        node_syms.push(prefix);
+                        node_parent.push(parent);
+                    }
+                    parent = node;
+                }
             }
+            // The head (the segment before the first `/`) is the root
+            // of the node's parent chain.
+            let mut root = node;
+            while node_parent[root as usize] != NO_PARENT {
+                root = node_parent[root as usize];
+            }
+            group_syms.push(sym);
+            group_head_syms.push(node_syms[root as usize]);
             group_node.push(node);
         }
 
@@ -246,21 +385,21 @@ impl Symbols {
         // shared table.
         let mut port_order: Vec<usize> = (0..module.ports.len()).collect();
         port_order.sort_by(|&a, &b| module.ports[a].name.cmp(&module.ports[b].name));
-        let port_syms: Vec<Symbol> = port_order.iter().map(|&i| b.intern(&module.ports[i].name)).collect();
-        let port_nets: Vec<u32> = port_order.iter().map(|&i| module.ports[i].net.index() as u32).collect();
+        let port_syms: Arc<[Symbol]> = port_order.iter().map(|&i| b.intern(&module.ports[i].name)).collect();
+        let port_nets: Arc<[u32]> = port_order.iter().map(|&i| module.ports[i].net.index() as u32).collect();
 
         Symbols {
             interner: Arc::new(b.freeze()),
-            net_syms: net_syms.into(),
-            inst_syms: inst_syms.into(),
-            inst_group: inst_group.into(),
+            net_syms,
+            inst_syms,
+            inst_group,
             group_syms: group_syms.into(),
             group_head_syms: group_head_syms.into(),
             group_node: group_node.into(),
             node_syms: node_syms.into(),
             node_parent: node_parent.into(),
-            port_syms: port_syms.into(),
-            port_nets: port_nets.into(),
+            port_syms,
+            port_nets,
         }
     }
 
@@ -366,6 +505,12 @@ impl Symbols {
         self.port_syms.len()
     }
 
+    /// Boundary port `i` in name order: its interned name and the net
+    /// slot it is bound to.
+    pub fn port(&self, i: usize) -> (Symbol, u32) {
+        (self.port_syms[i], self.port_nets[i])
+    }
+
     /// Net slot bound to the boundary port `name`, by binary search
     /// over the shared sorted port table — no per-caller name map, no
     /// allocation. This is the lookup the simulation backends'
@@ -415,6 +560,24 @@ mod tests {
         assert_eq!(frozen.resolve(empty), "");
         assert_eq!(frozen.len(), 3);
         assert_eq!(frozen.heap_bytes(), "alphabeta".len() + 3 * 4);
+    }
+
+    #[test]
+    fn colliding_hashes_still_dedup_by_string() {
+        // Birthday search for two distinct equal-length names with one
+        // hash: the probe filter must fall through to the string compare.
+        let mut seen = std::collections::HashMap::new();
+        let (a, c) = (0u32..)
+            .map(|i| format!("net{i:07}"))
+            .find_map(|s| seen.insert(fx_hash(&s), s.clone()).map(|prev| (prev, s)))
+            .expect("a 32-bit hash collides long before 2^32 names");
+        assert_eq!((fx_hash(&a), a.len()), (fx_hash(&c), c.len()));
+        let mut b = InternerBuilder::new();
+        let (sa, sc) = (b.intern(&a), b.intern(&c));
+        assert_ne!(sa, sc, "{a:?} and {c:?} collide in hash only");
+        assert_eq!((b.intern(&a), b.intern(&c)), (sa, sc));
+        let frozen = b.freeze();
+        assert_eq!((frozen.resolve(sa), frozen.resolve(sc)), (a.as_str(), c.as_str()));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! [`NetId::index`] with no remapping step between backends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use syndcim_netlist::{levelize, validate, Connectivity, InstId, Module, NetId, NetlistError};
 use syndcim_pdk::CellLibrary;
@@ -33,10 +34,14 @@ static BUILDS: AtomicU64 = AtomicU64::new(0);
 /// Build one with [`Lowering::new`] (tolerates unread floating nets,
 /// matching `syndcim_sta::Sta`) or [`Lowering::validated`] (additionally
 /// rejects read-but-undriven nets, matching the simulation backends).
+///
+/// Every table sits behind an `Arc`, so a clone (one per compiled
+/// backend that takes the lowering by value) bumps reference counts and
+/// never copies the per-net sink lists.
 #[derive(Debug, Clone)]
 pub struct Lowering {
-    conn: Connectivity,
-    order: Vec<InstId>,
+    conn: Arc<Connectivity>,
+    order: Arc<[InstId]>,
     net_count: usize,
     /// Interned net/instance/group name tables (see [`Symbols`]) —
     /// built once here and shared by every compiled artifact, so no
@@ -69,9 +74,18 @@ impl Lowering {
         };
         let symbols = {
             telemetry::span!("lowering.intern");
-            Symbols::from_module(module)
+            let symbols = Symbols::from_module(module);
+            telemetry::gauge("ir.symbols").set(symbols.interner().len() as u64);
+            telemetry::gauge("ir.retained_bytes").set(symbols.heap_bytes() as u64);
+            symbols
         };
-        Ok(Lowering { conn, order, net_count: module.net_count(), symbols, validated: false })
+        Ok(Lowering {
+            conn: Arc::new(conn),
+            order: order.into(),
+            net_count: module.net_count(),
+            symbols,
+            validated: false,
+        })
     }
 
     /// Like [`Lowering::new`], but additionally rejects floating nets
@@ -145,7 +159,7 @@ impl Lowering {
         symbols: Symbols,
         validated: bool,
     ) -> Self {
-        Lowering { conn, order, net_count, symbols, validated }
+        Lowering { conn: Arc::new(conn), order: order.into(), net_count, symbols, validated }
     }
 
     /// Number of `Lowering`s *built* so far in this process (clones do
@@ -203,5 +217,21 @@ mod tests {
         let _clone = low.clone();
         let _clone2 = low.clone();
         assert!(Lowering::builds() > before, "new() must bump the counter");
+    }
+
+    #[test]
+    fn clones_share_their_tables() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("chain", &lib);
+        let a = b.input("a");
+        let x = b.not(a);
+        let y = b.not(x);
+        b.output("y", y);
+        let m = b.finish();
+        let low = Lowering::new(&m, &lib).unwrap();
+        let clone = low.clone();
+        assert!(std::ptr::eq(low.connectivity(), clone.connectivity()), "clone must share connectivity");
+        assert_eq!(low.order().as_ptr(), clone.order().as_ptr(), "clone must share the order");
+        assert!(Arc::ptr_eq(low.symbols().interner(), clone.symbols().interner()));
     }
 }

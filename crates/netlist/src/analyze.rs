@@ -61,12 +61,20 @@ impl fmt::Display for NetlistError {
 impl std::error::Error for NetlistError {}
 
 /// Precomputed connectivity tables for a module.
-#[derive(Debug, Clone)]
+///
+/// The sinks are stored flat (CSR): one offset table plus one list of
+/// every net's sinks back to back, so building, cloning, serializing
+/// and dropping the tables costs two allocations, not one per net.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connectivity {
     /// Driver of each net, indexed by [`NetId::index`].
     pub driver: Vec<Driver>,
-    /// Instance input sinks of each net: `(instance, input_pin)` pairs.
-    pub sinks: Vec<Vec<(InstId, usize)>>,
+    /// `sink_offsets[n]..sink_offsets[n + 1]` is net `n`'s slice of
+    /// `sink_list`; one entry per net plus a final end offset.
+    sink_offsets: Vec<u32>,
+    /// Instance input sinks of every net, grouped by net in net order:
+    /// `(instance, input_pin)` pairs.
+    sink_list: Vec<(InstId, usize)>,
 }
 
 impl Connectivity {
@@ -79,7 +87,6 @@ impl Connectivity {
     pub fn build(module: &Module) -> Result<Self, NetlistError> {
         let n = module.net_count();
         let mut driver = vec![Driver::None; n];
-        let mut sinks: Vec<Vec<(InstId, usize)>> = vec![Vec::new(); n];
 
         for port in &module.ports {
             if port.dir == PortDir::Input {
@@ -91,6 +98,9 @@ impl Connectivity {
                 driver[port.net.index()] = Driver::Port;
             }
         }
+        // Count each net's sinks, then fill the flat list in the same
+        // instance-then-pin order a per-net push would give.
+        let mut sink_offsets = vec![0u32; n + 1];
         for (i, inst) in module.instances.iter().enumerate() {
             let id = InstId(i as u32);
             for (pin, &net) in inst.outputs.iter().enumerate() {
@@ -99,11 +109,43 @@ impl Connectivity {
                 }
                 driver[net.index()] = Driver::Inst { inst: id, pin };
             }
-            for (pin, &net) in inst.inputs.iter().enumerate() {
-                sinks[net.index()].push((id, pin));
+            for &net in &inst.inputs {
+                sink_offsets[net.index() + 1] += 1;
             }
         }
-        Ok(Connectivity { driver, sinks })
+        for k in 0..n {
+            sink_offsets[k + 1] += sink_offsets[k];
+        }
+        let mut next: Vec<u32> = sink_offsets[..n].to_vec();
+        let mut sink_list = vec![(InstId(0), 0); sink_offsets[n] as usize];
+        for (i, inst) in module.instances.iter().enumerate() {
+            for (pin, &net) in inst.inputs.iter().enumerate() {
+                let slot = &mut next[net.index()];
+                sink_list[*slot as usize] = (InstId(i as u32), pin);
+                *slot += 1;
+            }
+        }
+        Ok(Connectivity { driver, sink_offsets, sink_list })
+    }
+
+    /// Reassemble tables from their flat parts (the inverse of
+    /// [`Connectivity::sink_offsets`] and [`Connectivity::sink_list`]),
+    /// e.g. when decoding a serialized lowering.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sink_offsets` has one entry per driver plus one,
+    /// starts at 0, never decreases and ends at `sink_list.len()`.
+    pub fn from_parts(driver: Vec<Driver>, sink_offsets: Vec<u32>, sink_list: Vec<(InstId, usize)>) -> Self {
+        assert_eq!(sink_offsets.len(), driver.len() + 1, "one sink offset per net plus the end");
+        assert_eq!(sink_offsets[0], 0, "sink offsets start at 0");
+        assert!(sink_offsets.windows(2).all(|w| w[0] <= w[1]), "sink offsets never decrease");
+        assert_eq!(
+            sink_offsets[driver.len()] as usize,
+            sink_list.len(),
+            "sink offsets end at the list length"
+        );
+        Connectivity { driver, sink_offsets, sink_list }
     }
 
     /// The driver of `net`.
@@ -111,9 +153,27 @@ impl Connectivity {
         self.driver[net.index()]
     }
 
+    /// Instance input sinks of `net`: `(instance, input_pin)` pairs in
+    /// instance order.
+    pub fn sinks(&self, net: NetId) -> &[(InstId, usize)] {
+        let i = net.index();
+        &self.sink_list[self.sink_offsets[i] as usize..self.sink_offsets[i + 1] as usize]
+    }
+
     /// Total fanout (instance input pins) of `net`.
     pub fn fanout(&self, net: NetId) -> usize {
-        self.sinks[net.index()].len()
+        self.sinks(net).len()
+    }
+
+    /// The CSR offset table: net `n`'s sinks are
+    /// `sink_list()[sink_offsets()[n]..sink_offsets()[n + 1]]`.
+    pub fn sink_offsets(&self) -> &[u32] {
+        &self.sink_offsets
+    }
+
+    /// Every net's sinks back to back, in net order.
+    pub fn sink_list(&self) -> &[(InstId, usize)] {
+        &self.sink_list
     }
 }
 
@@ -179,7 +239,7 @@ pub fn levelize(
     while let Some(id) = ready.pop() {
         order.push(id);
         for &net in &module.instances[id.index()].outputs {
-            for &(sink, _) in &conn.sinks[net.index()] {
+            for &(sink, _) in conn.sinks(net) {
                 let si = sink.index();
                 if comb[si] {
                     pending[si] -= 1;
@@ -221,6 +281,40 @@ mod tests {
         let order = levelize(&m, &lib, &conn).unwrap();
         assert_eq!(order, vec![InstId(0), InstId(1)]);
         assert_eq!(conn.fanout(a), 1);
+    }
+
+    #[test]
+    fn flat_sinks_keep_instance_then_pin_order() {
+        // A net read twice by one gate and by gates created out of net
+        // order: each net's slice must list `(instance, pin)` exactly as
+        // a per-net push in instance order would.
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("fan", &lib);
+        let a = b.input("a");
+        let c = b.input("c");
+        let x = b.xor2(c, a);
+        let y = b.and2(a, a);
+        let z = b.or2(x, c);
+        b.output("y", y);
+        b.output("z", z);
+        let m = b.finish();
+        let conn = Connectivity::build(&m).unwrap();
+        let mut want: Vec<Vec<(InstId, usize)>> = vec![Vec::new(); m.net_count()];
+        for (i, inst) in m.instances.iter().enumerate() {
+            for (pin, &net) in inst.inputs.iter().enumerate() {
+                want[net.index()].push((InstId(i as u32), pin));
+            }
+        }
+        for (net, sinks) in want.iter().enumerate() {
+            assert_eq!(conn.sinks(NetId(net as u32)), sinks.as_slice(), "net {net}");
+        }
+        assert_eq!(conn.sinks(a), [(InstId(0), 1), (InstId(1), 0), (InstId(1), 1)]);
+        let rebuilt = Connectivity::from_parts(
+            conn.driver.clone(),
+            conn.sink_offsets().to_vec(),
+            conn.sink_list().to_vec(),
+        );
+        assert_eq!(rebuilt, conn);
     }
 
     #[test]

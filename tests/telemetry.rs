@@ -98,6 +98,9 @@ fn implement_span_tree_nests_the_flow_phases() {
     assert!(im.report.gauge("engine.retained_bytes").unwrap() > 0);
     assert!(im.report.gauge("sta.retained_bytes").unwrap() > 0);
     assert!(im.report.gauge("power.retained_bytes").unwrap() > 0);
+    let symbols = im.compiled.lowering.symbols();
+    assert_eq!(im.report.gauge("ir.symbols"), Some(symbols.interner().len() as u64));
+    assert_eq!(im.report.gauge("ir.retained_bytes"), Some(symbols.heap_bytes() as u64));
 
     // A fresh snapshot agrees with the attached report structurally.
     assert_eq!(telemetry::snapshot().root.signature(), im.report.root.signature());
