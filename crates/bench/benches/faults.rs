@@ -15,14 +15,28 @@
 //! It fails if the empty-plan arm loses more than 2% of the
 //! `BENCH_baseline.json` `engine64_vps` throughput. The dormant-arm
 //! cost is reported (and archived) as the price of an *active*
-//! campaign. All keys merge into `BENCH_engine.json`.
+//! campaign.
+//!
+//! The same per-lane write path carries the weight-update sign-off:
+//! `wu_512_paper_ms` is the median of several 512-pattern
+//! `measure_weight_update_patterns` calls on the search-chosen paper
+//! chip — one lane per write pattern, per-lane energies decoded from
+//! the engine's bit-sliced toggle counters. All keys merge into
+//! `BENCH_engine.json`.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, FaultPlan, Program};
+use syndcim_core::{assemble, measure_weight_update_patterns, DesignChoice, EvalBackend, MacroSpec};
+use syndcim_engine::{BatchSim, EngineSim, FaultPlan, Program};
 use syndcim_netlist::NetId;
-use syndcim_pdk::CellLibrary;
+use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::SimBackend;
+
+/// Timed 512-pattern weight-update calls on the paper chip (the median
+/// is reported).
+const WU_RUNS: usize = 7;
 
 /// Cheap xorshift stimulus source (identical cost in every arm).
 fn next_word(state: &mut u64) -> u64 {
@@ -102,9 +116,37 @@ fn bench_faults(c: &mut Criterion) {
     println!("empty-plan overhead vs baseline engine64 vps: {empty_overhead_pct:.2}%");
     println!("dormant-plan overhead vs nominal arm:         {dormant_overhead_pct:.2}%");
 
+    // --- 512-pattern weight-update sign-off on the paper chip ---------
+    // Hand-timed: each call builds its own executor, so the median of
+    // single calls is the figure, not the shim's batch mean.
+    let (im, wu_lib) = syndcim_bench::implement_best(&spec);
+    let op = OperatingPoint::at_voltage(spec.vdd_v);
+    let mut wu_ns: Vec<u128> = (0..WU_RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let m = measure_weight_update_patterns(
+                &im,
+                &wu_lib,
+                op,
+                spec.f_wu_mhz,
+                0x5EED,
+                EngineSim::MAX_LANES,
+                EvalBackend::Engine,
+            )
+            .expect("the paper chip verifies every bitcell in every lane");
+            let ns = t0.elapsed().as_nanos();
+            black_box(m);
+            ns
+        })
+        .collect();
+    wu_ns.sort_unstable();
+    let wu_512_ms = wu_ns[WU_RUNS / 2] as f64 / 1e6;
+    println!("{:<44} {wu_512_ms:>11.3} ms /iter   (median of {WU_RUNS})", "wu_512_paper");
+
     syndcim_bench::merge_bench_artifact(
-        &["faults_"],
+        &["faults_", "wu_"],
         &[
+            ("wu_512_paper_ms", wu_512_ms),
             ("faults_nominal_vps", nominal_vps),
             ("faults_empty_plan_vps", empty_vps),
             ("faults_dormant_plan_vps", dormant_vps),

@@ -521,43 +521,51 @@ pub fn measure_weight_update_patterns(
         return Err(CoreError::PatternCount { patterns, max: MAX_LANES });
     }
     let mac = &im.mac;
-    let per_pattern: Vec<Activity> = match backend {
+    let bits = mac.w * mac.h * mac.mcr;
+    let energies: Vec<f64> = match backend {
         EvalBackend::Interpreter => {
             let mut acts = Vec::with_capacity(patterns);
             for l in 0..patterns {
                 let mut sim = Simulator::with_lowering(&mac.module, lib, &im.compiled.lowering)?;
                 acts.push(run_weight_update(&mut sim, mac, pattern_seed(seed, l as u64))?);
             }
-            acts
+            // The interpreter arm keeps the seed's reference analyzer so
+            // the backend knob exercises two genuinely independent power
+            // paths — bit-identical by the differential pinning,
+            // cross-checked by the backend-agreement tests below.
+            let pa = PowerAnalyzer::with_wire_caps(&mac.module, lib, &im.wires.cap_ff)?;
+            acts.iter()
+                .map(|a| {
+                    let power = pa.from_activity(&a.toggles, a.lane_cycles, f_mhz, op);
+                    power.energy_per_cycle_pj * 1000.0 * a.lane_cycles as f64 / bits as f64
+                })
+                .collect()
         }
         EvalBackend::Engine => {
+            telemetry::span!("eval.wu.engine");
             let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, patterns)?;
             sim.enable_lane_toggles();
-            run_weight_update_lanes(&mut sim, mac, seed, patterns)?
+            let expect = {
+                telemetry::span!("eval.wu.write");
+                write_weight_update_lanes(&mut sim, mac, seed, patterns)
+            };
+            {
+                telemetry::span!("eval.wu.verify");
+                verify_weight_update_lanes(&sim, mac, &expect)?;
+            }
+            // The engine arm rides the macro's compiled power program
+            // (wire caps baked at implement time), one lane table at a
+            // time.
+            telemetry::span!("eval.wu.energy");
+            let cycles = sim.lane_cycles() / patterns as u64;
+            let mut energies = Vec::with_capacity(patterns);
+            for_each_lane_table(&sim, |_, toggles| {
+                energies.push(lane_write_energy_fj(im, toggles, cycles, op));
+            });
+            energies
         }
     };
 
-    let bits = mac.w * mac.h * mac.mcr;
-    // The engine arm rides the macro's compiled power program (wire
-    // caps baked at implement time); the interpreter arm keeps the
-    // seed's reference analyzer so the backend knob exercises two
-    // genuinely independent power paths — bit-identical by the
-    // differential pinning, cross-checked by the backend-agreement
-    // tests below.
-    let reference_pa = match backend {
-        EvalBackend::Engine => None,
-        EvalBackend::Interpreter => Some(PowerAnalyzer::with_wire_caps(&mac.module, lib, &im.wires.cap_ff)?),
-    };
-    let energies: Vec<f64> = per_pattern
-        .iter()
-        .map(|a| {
-            let power = match &reference_pa {
-                None => im.compiled.power.report(&a.toggles, a.lane_cycles, f_mhz, op),
-                Some(pa) => pa.from_activity(&a.toggles, a.lane_cycles, f_mhz, op),
-            };
-            power.energy_per_cycle_pj * 1000.0 * a.lane_cycles as f64 / bits as f64
-        })
-        .collect();
     let mean = energies.iter().sum::<f64>() / energies.len() as f64;
     let var = energies.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / energies.len() as f64;
     Ok(WeightUpdateMeasurement {
@@ -574,6 +582,51 @@ pub fn measure_weight_update_patterns(
 /// reproduce historical numbers.
 pub(crate) fn pattern_seed(seed: u64, pattern: u64) -> u64 {
     seed.wrapping_add(pattern.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Write energy per written weight bit, in fJ, of one lane's per-net
+/// toggle table over `cycles` write-burst cycles, on the macro's
+/// compiled power program (energy per cycle does not depend on the
+/// clock frequency).
+pub(crate) fn lane_write_energy_fj(
+    im: &ImplementedMacro,
+    toggles: &[u64],
+    cycles: u64,
+    op: OperatingPoint,
+) -> f64 {
+    let bits = im.mac.w * im.mac.h * im.mac.mcr;
+    im.compiled.power.energy_per_cycle_pj(toggles, cycles, op) * 1000.0 * cycles as f64 / bits as f64
+}
+
+/// Visit every active lane's per-net toggle table in lane order,
+/// decoding one 64-lane chunk at a time into reused tables — never all
+/// lanes' tables at once.
+///
+/// # Panics
+///
+/// Panics if per-lane toggle accounting was not enabled on `sim`.
+pub(crate) fn for_each_lane_table(sim: &EngineSim<'_>, mut visit: impl FnMut(usize, &[u64])) {
+    let lanes = sim.lanes();
+    let mut tables = vec![Vec::new(); lanes.min(64)];
+    for first in (0..lanes).step_by(64) {
+        let chunk = &mut tables[..(lanes - first).min(64)];
+        assert!(
+            sim.lane_toggle_tables(first, chunk),
+            "per-lane toggles were enabled before driving stimulus"
+        );
+        for (j, toggles) in chunk.iter().enumerate() {
+            visit(first + j, toggles);
+        }
+    }
+}
+
+/// Low-lane mask of 64-lane word `wi` in a `lanes`-lane batch.
+fn word_mask(lanes: usize, wi: usize) -> u64 {
+    match lanes.saturating_sub(wi * 64) {
+        0 => 0,
+        n @ 1..=63 => (1u64 << n) - 1,
+        _ => !0,
+    }
 }
 
 fn run_weight_update<B: SimBackend>(
@@ -621,16 +674,17 @@ fn run_weight_update<B: SimBackend>(
 }
 
 /// Drive `patterns` independent random write streams simultaneously —
-/// pattern `l` in lane `l` — and split the activity per pattern via the
-/// engine's per-lane toggle accounting. The address sequence is shared
-/// (it is data-independent); the written data differs per lane.
-#[allow(clippy::needless_range_loop)] // bank/row index `expect` AND drive the address buses
-fn run_weight_update_lanes(
+/// pattern `l` in lane `l` — with per-lane toggle accounting on. The
+/// address sequence is shared (it is data-independent); the written
+/// data differs per lane. Returns the written lane words, indexed
+/// `((bank * h + row) * w + col) * words + wi`: exactly what every
+/// bitcell must hold afterwards.
+fn write_weight_update_lanes(
     sim: &mut EngineSim<'_>,
     mac: &MacroNetlist,
     seed: u64,
     patterns: usize,
-) -> Result<Vec<Activity>, CoreError> {
+) -> Vec<u64> {
     use rand_like::next_bit;
     configure_precision(sim, mac, mac.w_bits);
     quiesce(sim, mac);
@@ -638,8 +692,8 @@ fn run_weight_update_lanes(
 
     let wbl_nets: Vec<NetId> = (0..mac.w).map(|c| sim.net_of(&format!("wbl[{c}]"))).collect();
     let mut streams: Vec<u64> = (0..patterns).map(|l| pattern_seed(seed, l as u64) | 1).collect();
-    // expect[lane][bank][row][col]
-    let mut expect = vec![vec![vec![vec![false; mac.w]; mac.h]; mac.mcr]; patterns];
+    let words = sim.words();
+    let mut expect = Vec::with_capacity(mac.mcr * mac.h * mac.w * words);
     for bank in 0..mac.mcr {
         for row in 0..mac.h {
             sim.set_all("wr_en", true);
@@ -647,14 +701,13 @@ fn run_weight_update_lanes(
             if mac.mcr > 1 {
                 sim.set_bus_all("wr_bank", mac.mcr.trailing_zeros(), bank as i64);
             }
-            for (col, &net) in wbl_nets.iter().enumerate() {
-                for wi in 0..sim.words() {
+            for &net in &wbl_nets {
+                for wi in 0..words {
                     let mut word = 0u64;
-                    for l in wi * 64..patterns.min(wi * 64 + 64) {
-                        let bit = next_bit(&mut streams[l]);
-                        expect[l][bank][row][col] = bit;
-                        word |= (bit as u64) << (l - wi * 64);
+                    for (l, stream) in streams.iter_mut().enumerate().skip(wi * 64).take(64) {
+                        word |= (next_bit(stream) as u64) << (l - wi * 64);
                     }
+                    expect.push(word);
                     sim.drive_word_at(net, wi, word);
                 }
             }
@@ -662,28 +715,34 @@ fn run_weight_update_lanes(
         }
     }
     sim.set_all("wr_en", false);
+    expect
+}
 
-    // Verify every bitcell captured its bit in every lane.
+/// Check every bitcell captured its bit in every lane, comparing whole
+/// 64-lane state words against the written ones. The first mismatch is
+/// reported in bitcell-then-lane order.
+fn verify_weight_update_lanes(
+    sim: &EngineSim<'_>,
+    mac: &MacroNetlist,
+    expect: &[u64],
+) -> Result<(), CoreError> {
+    let words = sim.words();
     for bc in &mac.bitcells {
-        for (l, expect_lane) in expect.iter().enumerate() {
-            let want = expect_lane[bc.bank][bc.row][bc.col];
-            if sim.state_of_lane(bc.inst, l) != want {
+        let at = ((bc.bank * mac.h + bc.row) * mac.w + bc.col) * words;
+        for (wi, &want) in expect[at..at + words].iter().enumerate() {
+            let got = sim.state_word_at(bc.inst, wi);
+            let diff = (got ^ want) & word_mask(sim.lanes(), wi);
+            if diff != 0 {
+                let bit = diff.trailing_zeros();
                 return Err(CoreError::FunctionalMismatch {
                     channel: bc.col,
-                    got: sim.state_of_lane(bc.inst, l) as i64,
-                    want: want as i64,
+                    got: (got >> bit & 1) as i64,
+                    want: (want >> bit & 1) as i64,
                 });
             }
         }
     }
-    let cycles = sim.lane_cycles() / patterns as u64;
-    Ok((0..patterns)
-        .map(|l| {
-            let toggles =
-                sim.lane_toggle_table(l).expect("per-lane toggles were enabled before driving stimulus");
-            Activity { toggles, lane_cycles: cycles, checked: 0 }
-        })
-        .collect())
+    Ok(())
 }
 
 /// Tiny xorshift bit source (keeps `rand` out of the library API).
@@ -1064,6 +1123,69 @@ mod tests {
         assert!((eng.energy_per_bit_fj - itp.energy_per_bit_fj).abs() < 1e-12, "{eng:?} vs {itp:?}");
         assert!((eng.energy_per_bit_std_fj - itp.energy_per_bit_std_fj).abs() < 1e-12, "{eng:?} vs {itp:?}");
         assert_eq!(eng.bandwidth_gbps, itp.bandwidth_gbps);
+    }
+
+    /// Wide pattern sets — a partial second 64-lane chunk (72) and the
+    /// full 512-lane word — decode every lane's counters to exactly the
+    /// interpreter's per-pattern energies: mean and spread agree bit
+    /// for bit.
+    #[test]
+    fn wide_weight_update_backends_are_bit_identical() {
+        let lib = CellLibrary::syn40();
+        let op = OperatingPoint::at_voltage(0.9);
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        for patterns in [72, 512] {
+            let run = |backend| {
+                measure_weight_update_patterns(&im, &lib, op, 400.0, 31, patterns, backend).unwrap()
+            };
+            let (eng, itp) = (run(EvalBackend::Engine), run(EvalBackend::Interpreter));
+            assert_eq!(eng.patterns, patterns);
+            assert_eq!(
+                eng.energy_per_bit_fj.to_bits(),
+                itp.energy_per_bit_fj.to_bits(),
+                "{eng:?} vs {itp:?}"
+            );
+            assert_eq!(
+                eng.energy_per_bit_std_fj.to_bits(),
+                itp.energy_per_bit_std_fj.to_bits(),
+                "{eng:?} vs {itp:?}"
+            );
+        }
+    }
+
+    /// The packed bitcell check reports the first mismatch in
+    /// bitcell-then-lane order, with the stored and written bits of
+    /// that lane.
+    #[test]
+    fn weight_update_verify_reports_the_first_bitcell_then_lane() {
+        let lib = CellLibrary::syn40();
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        let mac = &im.mac;
+        let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, 72).unwrap();
+        let expect = write_weight_update_lanes(&mut sim, mac, 5, 72);
+        verify_weight_update_lanes(&sim, mac, &expect).unwrap();
+        let flip = |sim: &mut EngineSim<'_>, bc: usize, lane: usize| {
+            let inst = mac.bitcells[bc].inst;
+            let word = sim.state_word_at(inst, lane / 64) ^ (1 << (lane % 64));
+            sim.force_state_word_at(inst, lane / 64, word);
+        };
+        // Two corrupted lanes of bitcell 5 that were written different
+        // bits, plus an earlier lane of a later bitcell: the report
+        // names bitcell 5's lower lane.
+        let bc = &mac.bitcells[5];
+        let written = |lane: usize| sim.state_of_lane(bc.inst, lane);
+        let lo = 64;
+        let hi = (lo + 1..72).find(|&l| written(l) != written(lo)).expect("random data differs across lanes");
+        let want = written(lo) as i64;
+        flip(&mut sim, 9, 3);
+        flip(&mut sim, 5, hi);
+        flip(&mut sim, 5, lo);
+        match verify_weight_update_lanes(&sim, mac, &expect) {
+            Err(CoreError::FunctionalMismatch { channel, got, want: w }) => {
+                assert_eq!((channel, got, w), (bc.col, 1 - want, want));
+            }
+            other => panic!("expected a bitcell mismatch, got {other:?}"),
+        }
     }
 
     /// A wide-word pattern set (>64 lanes) still verifies every bitcell

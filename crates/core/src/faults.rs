@@ -13,8 +13,8 @@
 //! * an undetected fault **survives**: the macro silently stores wrong
 //!   (or coincidentally right) data. The report carries the mean and
 //!   spread of the per-lane write energy over the surviving lanes via
-//!   the engine's per-lane toggle accounting, so a campaign also says
-//!   what the escapes cost.
+//!   the engine's per-lane toggle counters, decoded one 64-lane chunk
+//!   at a time, so a campaign also says what the escapes cost.
 //!
 //! Determinism: the stimulus stream is the same xorshift stream
 //! [`measure_weight_update`](crate::measure_weight_update) drives for
@@ -30,7 +30,7 @@ use syndcim_telemetry as telemetry;
 
 use crate::error::CoreError;
 use crate::eval::rand_like::next_bit;
-use crate::eval::{configure_precision, pattern_seed, quiesce};
+use crate::eval::{configure_precision, for_each_lane_table, lane_write_energy_fj, pattern_seed, quiesce};
 use crate::flow::ImplementedMacro;
 use crate::shmoo::push_json_floats;
 
@@ -109,7 +109,10 @@ pub fn port_net(im: &ImplementedMacro, port: &str) -> Option<NetId> {
 
 /// Run the weight-update workload with `faults[i]` injected into lane
 /// `i + 1` (lane 0 stays golden) and report fault coverage plus the
-/// write-energy profile of the surviving lanes.
+/// write-energy profile of the surviving lanes. The write clock
+/// (`_f_mhz`) is accepted for symmetry with
+/// [`measure_weight_update`](crate::measure_weight_update); energy per
+/// written bit does not depend on it.
 ///
 /// # Errors
 ///
@@ -120,7 +123,7 @@ pub fn port_net(im: &ImplementedMacro, port: &str) -> Option<NetId> {
 pub fn measure_weight_update_coverage(
     im: &ImplementedMacro,
     op: OperatingPoint,
-    f_mhz: f64,
+    _f_mhz: f64,
     seed: u64,
     faults: &[(NetId, FaultKind)],
 ) -> Result<FaultCoverageReport, CoreError> {
@@ -170,28 +173,30 @@ pub fn measure_weight_update_coverage(
     sim.set_all("wr_en", false);
 
     // A fault is detected when any bitcell diverged from the golden
-    // lane — the write-readback observation a tester has.
-    let mut survivors = Vec::new();
-    let mut detected = 0usize;
-    for l in 1..lanes {
-        let diverged =
-            mac.bitcells.iter().any(|bc| sim.state_of_lane(bc.inst, l) != sim.state_of_lane(bc.inst, 0));
-        if diverged {
-            detected += 1;
-        } else {
-            survivors.push(l - 1);
+    // lane — the write-readback observation a tester has — compared a
+    // 64-lane word at a time on the bitcells' output nets.
+    let mut diverged = vec![0u64; lanes.div_ceil(64)];
+    for bc in &mac.bitcells {
+        let q = mac.module.instances[bc.inst.index()].outputs[0];
+        for (acc, mismatch) in diverged.iter_mut().zip(sim.mismatch_mask(q, 0)?) {
+            *acc |= mismatch;
         }
     }
+    let is_survivor = |l: usize| (diverged[l / 64] >> (l % 64)) & 1 == 0;
+    let survivors: Vec<usize> = (1..lanes).filter(|&l| is_survivor(l)).map(|l| l - 1).collect();
+    let detected = faults.len() - survivors.len();
 
     let bits = mac.w * mac.h * mac.mcr;
     let cycles = sim.lane_cycles() / lanes as u64;
-    let energy_of_lane = |l: usize| -> f64 {
-        let toggles = sim.lane_toggle_table(l).expect("per-lane toggles enabled before stimulus");
-        let power = im.compiled.power.report(&toggles, cycles, f_mhz, op);
-        power.energy_per_cycle_pj * 1000.0 * cycles as f64 / bits as f64
-    };
-    let golden_energy = energy_of_lane(0);
-    let survivor_energies: Vec<f64> = survivors.iter().map(|&i| energy_of_lane(i + 1)).collect();
+    let mut golden_energy = 0.0;
+    let mut survivor_energies = Vec::with_capacity(survivors.len());
+    for_each_lane_table(&sim, |l, toggles| {
+        if l == 0 {
+            golden_energy = lane_write_energy_fj(im, toggles, cycles, op);
+        } else if is_survivor(l) {
+            survivor_energies.push(lane_write_energy_fj(im, toggles, cycles, op));
+        }
+    });
     let (mean, std) = if survivor_energies.is_empty() {
         (0.0, 0.0)
     } else {

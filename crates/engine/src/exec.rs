@@ -76,10 +76,11 @@ pub struct BatchExec<'a, W: LaneWord> {
     next: Vec<W>,
     /// Per-net toggle counts summed over active lanes.
     toggles: Vec<u64>,
-    /// Optional per-lane toggle counts, `net * lanes + lane` — enabled
-    /// by [`BatchExec::enable_lane_toggles`] for measurements that need
-    /// per-lane energy attribution (e.g. write-energy variance).
-    lane_toggles: Option<Vec<u64>>,
+    /// Optional per-lane toggle counters, bit-sliced in the lane word.
+    /// Enabled by [`BatchExec::enable_lane_toggles`] for measurements
+    /// that need per-lane energy attribution (e.g. write-energy
+    /// variance).
+    lane_counters: Option<LaneCounters<W>>,
     /// Compiled fault-injection masks (`None` unless a non-empty
     /// [`FaultPlan`] is installed — the nominal write path pays one
     /// predictable branch, nothing else).
@@ -128,7 +129,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             state: vec![W::splat(false); prog.commits.len()],
             next: vec![W::splat(false); prog.commits.len()],
             toggles: vec![0; prog.net_count],
-            lane_toggles: None,
+            lane_counters: None,
             faults: None,
             lanes,
             mask: W::mask(lanes),
@@ -159,10 +160,11 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// a deactivated lane's uncounted transitions would corrupt the
     /// "toggles == sum of L independent runs" invariant if it were
     /// re-activated — create a new executor instead. Also rejected once
-    /// per-lane toggle accounting is enabled (its storage is strided by
-    /// the lane count at enable time, so resizing afterwards would
-    /// corrupt the attribution) and while a fault plan is installed
-    /// (its masks were validated against the lane set).
+    /// per-lane toggle accounting is enabled (the per-lane counters
+    /// must keep summing to the aggregate table over the active lanes;
+    /// shrinking would strand the deactivated lanes' counts in the
+    /// aggregate) and while a fault plan is installed (its masks were
+    /// validated against the lane set).
     pub fn set_lanes(&mut self, lanes: usize) -> Result<(), EngineError> {
         if lanes == 0 {
             return Err(EngineError::ZeroLanes);
@@ -170,7 +172,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         if lanes > self.lanes {
             return Err(EngineError::LaneGrow { have: self.lanes, asked: lanes });
         }
-        if self.lane_toggles.is_some() {
+        if self.lane_counters.is_some() {
             return Err(EngineError::LaneTogglesPinned);
         }
         if self.faults.is_some() {
@@ -182,33 +184,104 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     }
 
     /// Start per-lane toggle accounting (in addition to the aggregate
-    /// table). Costs one extra pass over changed lanes per slot write,
-    /// so it is off by default; enable it before driving stimulus.
+    /// table). Each net's per-lane counts are a bit-sliced counter held
+    /// in lane words — plane `k` stores bit `k` of every lane's count —
+    /// so a slot write with flipped lanes adds one to all of them at
+    /// once, rippling the carry through the planes with `and`/`xor`
+    /// until it clears. The planes double when a carry leaves the top
+    /// one, so counts are exact at any size. Storage is `planes × nets`
+    /// lane words, net-major so the planes one write touches share
+    /// cache lines. Off by default; enable it before driving stimulus.
     pub fn enable_lane_toggles(&mut self) {
-        if self.lane_toggles.is_none() {
-            self.lane_toggles = Some(vec![0; self.prog.net_count * self.lanes]);
+        if self.lane_counters.is_none() {
+            self.lane_counters = Some(LaneCounters::empty());
         }
     }
 
     /// Per-net toggle counts of one lane (indexed by [`NetId::index`]),
     /// or `None` when [`BatchExec::enable_lane_toggles`] was never
-    /// called or `lane` is not an active lane.
+    /// called or `lane` is not an active lane. A one-table wrapper over
+    /// [`BatchExec::lane_toggle_tables`].
     pub fn lane_toggle_table(&self, lane: usize) -> Option<Vec<u64>> {
-        if lane >= self.lanes {
-            return None;
+        let mut tables = [Vec::new()];
+        if self.lane_toggle_tables(lane, &mut tables) {
+            let [table] = tables;
+            Some(table)
+        } else {
+            None
         }
-        let lt = self.lane_toggles.as_ref()?;
-        Some((0..self.prog.net_count).map(|n| lt[n * self.lanes + lane]).collect())
+    }
+
+    /// Fill `tables[j]` with the per-net toggle counts (indexed by
+    /// [`NetId::index`]) of lane `first_lane + j`. The lanes must be
+    /// active and lie in one 64-lane chunk, so at most 64 tables fill
+    /// per call; each table is resized to the net count and reused
+    /// without reallocating. Only nets with a non-zero aggregate count
+    /// are decoded from the counter planes — the aggregate sums the
+    /// lanes, so a zero there is zero in every lane.
+    ///
+    /// Returns `false`, leaving the tables untouched, when per-lane
+    /// accounting is off or the lanes are out of range or span two
+    /// chunks.
+    pub fn lane_toggle_tables(&self, first_lane: usize, tables: &mut [Vec<u64>]) -> bool {
+        let Some(counters) = &self.lane_counters else { return false };
+        let (chunk, shift) = (first_lane / 64, first_lane % 64);
+        if shift + tables.len() > 64 || first_lane + tables.len() > self.lanes {
+            return false;
+        }
+        for table in tables.iter_mut() {
+            table.clear();
+            table.resize(self.prog.net_count, 0);
+        }
+        // Runs in the word's ISA context so the transpose of the plane
+        // bits into per-lane counts vectorizes with the word's shifts.
+        W::dispatch(|| {
+            let mut buf = [0u64; 64];
+            let counts = &mut buf[..tables.len()];
+            for (net, &total) in self.toggles.iter().enumerate() {
+                if total == 0 {
+                    continue;
+                }
+                counts.fill(0);
+                for (k, word) in counters.of(net).iter().enumerate() {
+                    let bits = word.get_u64(chunk) >> shift;
+                    if bits != 0 {
+                        for (j, count) in counts.iter_mut().enumerate() {
+                            *count |= ((bits >> j) & 1) << k;
+                        }
+                    }
+                }
+                for (table, &count) in tables.iter_mut().zip(counts.iter()) {
+                    table[net] = count;
+                }
+            }
+        });
+        true
+    }
+
+    /// [`BatchExec::write_as`] for the writes outside the settle and
+    /// commit passes (pokes, state forces, fault arming), choosing the
+    /// per-lane counting variant at run time.
+    #[inline(always)]
+    fn write(&mut self, dst: u32, val: W) {
+        if self.lane_counters.is_some() {
+            self.write_as::<true>(dst, val);
+        } else {
+            self.write_as::<false>(dst, val);
+        }
     }
 
     /// The single slot-write choke point: fault masks, aggregate and
     /// per-lane toggle accounting all hang here, width-generically.
-    /// `inline(always)` is load-bearing: every settle/commit op funnels
-    /// through this function, and it must land inside the
-    /// `#[target_feature]` dispatch frame — outlined, it compiles
-    /// without the ISA features and every op pays a vector-ABI call.
+    /// `COUNT_LANES` is fixed per pass ([`SimBackend::settle`] picks
+    /// it once), so the nominal passes compile without any trace of
+    /// the per-lane counters. `inline(always)` is load-bearing: every
+    /// settle/commit op funnels through this function, and it must land
+    /// inside the `#[target_feature]` dispatch frame — outlined, it
+    /// compiles without the ISA features and every op pays a vector-ABI
+    /// call.
     #[inline(always)]
-    fn write(&mut self, dst: u32, mut val: W) {
+    fn write_as<const COUNT_LANES: bool>(&mut self, dst: u32, mut val: W) {
         let d = dst as usize;
         if d < self.prog.net_count {
             if let Some(f) = &self.faults {
@@ -217,14 +290,9 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             let old = self.slots[d];
             let flips = old.xor(val).and(self.mask);
             flips.popcount_accum(W::splat(true), &mut self.toggles[d]);
-            if let Some(lt) = &mut self.lane_toggles {
-                for wi in 0..W::WORDS {
-                    let mut chunk = flips.get_u64(wi);
-                    while chunk != 0 {
-                        let lane = wi * 64 + chunk.trailing_zeros() as usize;
-                        lt[d * self.lanes + lane] += 1;
-                        chunk &= chunk - 1;
-                    }
+            if COUNT_LANES {
+                if let Some(counters) = &mut self.lane_counters {
+                    counters.add(d, flips, self.prog.net_count);
                 }
             }
         }
@@ -381,7 +449,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// `inline(always)` so the closure body actually lands in the
     /// `#[target_feature]` trampoline.
     #[inline(always)]
-    fn settle_pass(&mut self) {
+    fn settle_pass<const COUNT_LANES: bool>(&mut self) {
         for k in 0..self.prog.ops.len() {
             let op = self.prog.ops[k];
             let val = match op {
@@ -404,7 +472,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
                 | Op::Xor { dst, .. }
                 | Op::Mux { dst, .. } => dst,
             };
-            self.write(dst, val);
+            self.write_as::<COUNT_LANES>(dst, val);
         }
     }
 
@@ -412,7 +480,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// states and q nets — the sequential half of [`SimBackend::step`].
     /// Runs inside [`LaneWord::dispatch`] like [`BatchExec::settle_pass`].
     #[inline(always)]
-    fn capture_commit_pass(&mut self) {
+    fn capture_commit_pass<const COUNT_LANES: bool>(&mut self) {
         for (i, c) in self.prog.commits.iter().enumerate() {
             let cur = self.state[i];
             self.next[i] = match c.update {
@@ -427,8 +495,91 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             let nv = self.next[i];
             let q = self.prog.commits[i].q;
             self.state[i] = nv;
-            self.write(q, nv);
+            self.write_as::<COUNT_LANES>(q, nv);
         }
+    }
+}
+
+/// Per-lane toggle counters, bit-sliced in the lane word: plane `k` of
+/// a net's counter holds bit `k` of every lane's toggle count on that
+/// net, so one `and`/`xor` ripple counts every flipped lane of a write
+/// at once.
+///
+/// Storage is net-major — `words[net * planes + k]` — so the planes a
+/// write ripples through share cache lines (eight `u64` planes are one
+/// line). Plane-major storage, one table per plane, costs a separate
+/// line per plane on every write: it measured about twice the counting
+/// overhead of this layout on the 8-lane `u64` word (paper chip, 2-vCPU
+/// Xeon). The planes start at
+/// [`LaneCounters::FIRST_PLANES`] on the first flip and double, on an
+/// outlined cold path, whenever a carry leaves the top plane: counts
+/// are exact at any size with no cap, and a counter never re-lays out
+/// more than `log2` of its largest count times.
+#[derive(Debug)]
+struct LaneCounters<W> {
+    /// Planes per net (0 until the first flip).
+    planes: usize,
+    /// `nets × planes` lane words, net-major.
+    words: Vec<W>,
+}
+
+impl<W: LaneWord> LaneCounters<W> {
+    /// Planes allocated on the first flip: counts below 256 never
+    /// re-lay out (the paper chip's 128-write weight-update burst stays
+    /// well below that).
+    const FIRST_PLANES: usize = 8;
+
+    /// All counts zero, no planes allocated.
+    fn empty() -> Self {
+        LaneCounters { planes: 0, words: Vec::new() }
+    }
+
+    /// The planes of net `net`'s counter, lowest bit first.
+    #[inline]
+    fn of(&self, net: usize) -> &[W] {
+        &self.words[net * self.planes..(net + 1) * self.planes]
+    }
+
+    /// Add one to the count of every lane set in `flips` on net `d`: a
+    /// ripple-carry add that stops as soon as the carry clears.
+    #[inline(always)]
+    fn add(&mut self, d: usize, flips: W, nets: usize) {
+        let zero = W::splat(false);
+        if flips == zero {
+            return;
+        }
+        let mut carry = flips;
+        let p = self.planes;
+        for word in &mut self.words[d * p..(d + 1) * p] {
+            let bits = *word;
+            *word = bits.xor(carry);
+            carry = bits.and(carry);
+            if carry == zero {
+                return;
+            }
+        }
+        self.grow(d, carry, nets);
+    }
+
+    /// A carry left the top plane of net `d`: double the planes (or
+    /// allocate the first ones), keep every count, and store the carry
+    /// as the new bit.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, d: usize, carry: W, nets: usize) {
+        let old = self.planes;
+        let new = if old == 0 { Self::FIRST_PLANES } else { 2 * old };
+        let mut words = vec![W::splat(false); nets * new];
+        if old > 0 {
+            for (to, from) in words.chunks_exact_mut(new).zip(self.words.chunks_exact(old)) {
+                to[..old].copy_from_slice(from);
+            }
+        }
+        words[d * new + old] = carry;
+        self.words = words;
+        self.planes = new;
+        let bytes = new * nets * std::mem::size_of::<W>();
+        telemetry::gauge("engine.lane_toggle_bytes").set(bytes as u64);
     }
 }
 
@@ -467,13 +618,21 @@ impl<W: LaneWord> SimBackend for BatchExec<'_, W> {
         // One runtime dispatch for the whole pass: the closure compiles
         // inside the word's `#[target_feature]` trampoline (identity
         // for portable words).
-        W::dispatch(|| self.settle_pass());
+        if self.lane_counters.is_some() {
+            W::dispatch(|| self.settle_pass::<true>());
+        } else {
+            W::dispatch(|| self.settle_pass::<false>());
+        }
     }
 
     fn step(&mut self) {
         self.advance_fault_cycle();
         self.settle();
-        W::dispatch(|| self.capture_commit_pass());
+        if self.lane_counters.is_some() {
+            W::dispatch(|| self.capture_commit_pass::<true>());
+        } else {
+            W::dispatch(|| self.capture_commit_pass::<false>());
+        }
         self.lane_cycles += self.lanes as u64;
         self.settle();
     }
@@ -511,8 +670,8 @@ impl<W: LaneWord> SimBackend for BatchExec<'_, W> {
     fn reset_activity(&mut self) {
         self.flush_activity_telemetry();
         self.toggles.iter_mut().for_each(|t| *t = 0);
-        if let Some(lt) = &mut self.lane_toggles {
-            lt.iter_mut().for_each(|t| *t = 0);
+        if let Some(counters) = &mut self.lane_counters {
+            *counters = LaneCounters::empty();
         }
         self.lane_cycles = 0;
     }
@@ -760,6 +919,12 @@ impl<'a> EngineSim<'a> {
     /// [`BatchExec::lane_toggle_table`]).
     pub fn lane_toggle_table(&self, lane: usize) -> Option<Vec<u64>> {
         delegate!(self, s => s.lane_toggle_table(lane))
+    }
+
+    /// Fill per-net toggle tables for up to 64 lanes of one chunk (see
+    /// [`BatchExec::lane_toggle_tables`]).
+    pub fn lane_toggle_tables(&self, first_lane: usize, tables: &mut [Vec<u64>]) -> bool {
+        delegate!(self, s => s.lane_toggle_tables(first_lane, tables))
     }
 
     /// Install a per-lane fault plan (see [`BatchExec::install_faults`]).

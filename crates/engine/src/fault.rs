@@ -184,8 +184,9 @@ pub enum EngineError {
         /// Requested lane count.
         asked: usize,
     },
-    /// `set_lanes` after `enable_lane_toggles` (per-lane storage is
-    /// strided by the lane count at enable time).
+    /// `set_lanes` after `enable_lane_toggles` (the per-lane counters
+    /// must keep summing to the aggregate toggle table over the active
+    /// lanes).
     LaneTogglesPinned,
     /// `set_lanes` while a fault plan is installed (its masks were
     /// validated against the lane set) — clear the plan first.

@@ -275,6 +275,77 @@ mod tests {
         assert_eq!(eng.lane_cycles(), lanes as u64 * cycles as u64);
     }
 
+    /// The bit-sliced per-lane counters stay exact past 2^16 toggles on
+    /// one lane (a 17-bit count, so the planes double twice from their
+    /// first eight), on the `u64` word and on the
+    /// widest word this host runs, each carrying 64 lanes; a mid-run
+    /// `reset_activity` restarts every lane from zero.
+    #[test]
+    fn lane_toggle_counters_stay_exact_past_two_to_the_sixteen() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("inv", &lib);
+        let a = b.input("a");
+        let y = b.not(a);
+        b.output("y", y);
+        let m = b.finish();
+        let a_net = m.port("a").unwrap().net;
+        let prog = Program::compile(&m, &lib).unwrap();
+        let widest = match [SimdBackend::Avx512, SimdBackend::Avx2, SimdBackend::Neon]
+            .into_iter()
+            .find(|b| b.detected())
+        {
+            Some(backend) => EngineSim::with_backend(&prog, &m, 64, backend).unwrap(),
+            None => EngineSim::Wide512(BatchExec::new(&prog, &m, 64)),
+        };
+        let mut sims = [EngineSim::Narrow(BatchSim::new(&prog, &m, 64)), widest];
+        let mut refs: Vec<Simulator> = (0..64).map(|_| Simulator::new(&m, &lib).unwrap()).collect();
+        for sim in &mut sims {
+            sim.enable_lane_toggles();
+        }
+
+        // Lane 0 flips `a` every cycle; the other lanes take random bits.
+        let mut rng = seeded_rng(0xB175);
+        let mut drive = |sims: &mut [EngineSim<'_>], refs: &mut [Simulator], cycles: u64| {
+            for c in 0..cycles {
+                let word = (rng.next_u64() & !1) | (c & 1);
+                for sim in sims.iter_mut() {
+                    sim.poke_word(a_net, word);
+                    sim.settle();
+                }
+                for (l, r) in refs.iter_mut().enumerate() {
+                    r.poke(a_net, (word >> l) & 1 == 1);
+                    r.settle();
+                }
+            }
+        };
+        let check = |sims: &[EngineSim<'_>], refs: &[Simulator]| {
+            for sim in sims {
+                let mut tables = vec![Vec::new(); 64];
+                assert!(sim.lane_toggle_tables(0, &mut tables));
+                for (l, (table, r)) in tables.iter().zip(refs).enumerate() {
+                    assert_eq!(table.as_slice(), r.toggle_table(), "{}: lane {l}", sim.simd_backend());
+                }
+            }
+        };
+
+        drive(&mut sims, &mut refs, 1000);
+        check(&sims, &refs);
+        for sim in &mut sims {
+            sim.reset_activity();
+            assert!(sim.lane_toggle_table(0).unwrap().iter().all(|&t| t == 0), "reset clears every lane");
+        }
+        for r in &mut refs {
+            r.reset_activity();
+        }
+        drive(&mut sims, &mut refs, (1 << 16) + 100);
+        check(&sims, &refs);
+        for sim in &sims {
+            let lane0 = sim.lane_toggle_table(0).unwrap();
+            assert_eq!(lane0[a_net.index()], (1 << 16) + 100, "lane 0 flipped every cycle since the reset");
+            assert!(lane0[y.index()] > 1 << 16);
+        }
+    }
+
     /// EngineSim picks the narrowest word that fits.
     #[test]
     fn engine_sim_selects_word_width() {

@@ -293,7 +293,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// the checksum runs on both save and load, so this loop sits directly
 /// on the compile-once/serve-many path: on x86-64 with `pclmulqdq` the
 /// bulk folds 64 bytes per step by carry-less multiplication
-/// ([`clmul`]); elsewhere, and for short inputs and tails, the
+/// (the private `clmul` module); elsewhere, and for short inputs and tails, the
 /// slicing-by-8 table loop runs. Both compute the same function.
 pub fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]

@@ -298,6 +298,52 @@ impl CompiledPower {
         reports
     }
 
+    /// Dynamic energy per cycle in pJ (switching plus clock, excluding
+    /// leakage) from measured per-net toggle counts over `cycles`
+    /// cycles at `op` — bit-identical to
+    /// `report(toggles, cycles, f, op).energy_per_cycle_pj` at any
+    /// frequency `f`, without the per-report rate columns and
+    /// `by_group_pj` map. For callers that need one number per toggle
+    /// table, such as per-lane write energies.
+    ///
+    /// The pass replays [`CompiledPower::report`]'s accumulation order
+    /// but skips instances whose outputs never toggled: such an
+    /// instance adds exactly `+0.0` to a non-negative sum, so skipping
+    /// it leaves every bit unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles == 0` or the toggle table is shorter than the
+    /// net count.
+    pub fn energy_per_cycle_pj(&self, toggles: &[u64], cycles: u64, op: OperatingPoint) -> f64 {
+        assert!(cycles > 0, "need at least one simulated cycle");
+        assert!(toggles.len() >= self.net_count, "toggle table too short");
+        let rate = |slot: u32| toggles[slot as usize] as f64 / cycles as f64;
+        let escale = self.process.energy_scale(op.vdd_v);
+        let v = op.vdd_v;
+
+        let mut switch_fj_total = 0.0f64;
+        for i in 0..self.inst_group.len() {
+            let (s, e) = (self.inst_out_start[i] as usize, self.inst_out_start[i + 1] as usize);
+            let slots = &self.out_slot[s..e];
+            if slots.iter().all(|&slot| toggles[slot as usize] == 0) {
+                continue;
+            }
+            let mut inst_fj = 0.0;
+            let cols = self.out_cap_ff[s..e].iter().zip(&self.out_internal_fj[s..e]);
+            for (&slot, (&cap, &internal)) in slots.iter().zip(cols) {
+                inst_fj += rate(slot) * (0.5 * cap * v * v + internal * escale);
+            }
+            inst_fj *= self.glitch_factor;
+            switch_fj_total += inst_fj;
+        }
+        for (&slot, &load) in self.in_port_slot.iter().zip(&self.in_port_load_ff) {
+            switch_fj_total += 0.5 * rate(slot) * 0.5 * load * v * v;
+        }
+        let clock_fj = self.clock_regs_fj * escale * (1.0 + self.clock_tree_overhead);
+        (switch_fj_total + clock_fj) / 1000.0
+    }
+
     /// Power assuming every non-constant net toggles `alpha` times per
     /// cycle — the compiled equivalent of
     /// [`PowerAnalyzer::from_static_activity`], bit-identical to it.

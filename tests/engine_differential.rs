@@ -199,13 +199,15 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
 
 /// Word-seam differential at the SIMD widths: every backend this host
 /// can run (portable `[u64; N]`, AVX2, AVX-512, NEON) must produce
-/// bit-identical per-net state snapshots and toggle tables on the paper
-/// test chip, at 256 and at 512 lanes. The portable run is additionally
-/// re-chunked onto the `u64` backend (chunk toggle tables summing to
-/// the wide table), and in the 512-lane arm the lanes at every `u64`
-/// seam of the 512-lane word — 255/256/448/511 and friends — are re-run
-/// on the interpreter, closing `isa == portable == u64 == interpreter`
-/// exactly at the seams.
+/// bit-identical per-net state snapshots, toggle tables and per-lane
+/// toggle tables (every lane) on the paper test chip, at 256 and at 512
+/// lanes. The portable run is additionally re-chunked onto the `u64`
+/// backend (chunk toggle tables summing to the wide table), its
+/// per-lane tables must sum to its aggregate table, and the lanes at
+/// every `u64` seam — 255/256/448/511 and friends — are re-run on the
+/// interpreter (states every cycle in the 512-lane arm, the per-lane
+/// toggle table in both), closing `isa == portable == u64 ==
+/// interpreter` exactly at the seams.
 #[test]
 fn simd_backends_agree_at_every_word_seam() {
     let lib = syndcim_pdk::CellLibrary::syn40();
@@ -234,11 +236,13 @@ fn simd_backends_agree_at_every_word_seam() {
             word
         };
 
-        // One full run on a chosen backend: per-cycle snapshots of every
-        // net's lane words, final toggle table, lane-cycle total.
+        // One full run on a chosen backend with per-lane toggle counters
+        // on: per-cycle snapshots of every net's lane words, and the
+        // executor itself for its aggregate and per-lane tables.
         let run = |backend: SimdBackend| {
             let mut sim = EngineSim::with_backend(&prog, module, lanes, backend).unwrap();
             assert_eq!(sim.simd_backend(), backend);
+            sim.enable_lane_toggles();
             let mut snapshots: Vec<Vec<Vec<u64>>> = Vec::with_capacity(cycles);
             for c in 0..cycles {
                 for (pi, &net) in in_nets.iter().enumerate() {
@@ -253,19 +257,49 @@ fn simd_backends_agree_at_every_word_seam() {
                         .collect(),
                 );
             }
-            (snapshots, sim.toggle_table().to_vec(), sim.lane_cycles())
+            (snapshots, sim)
+        };
+        // Every lane's toggle table, compared one 64-lane chunk at a
+        // time so two 512-lane table sets never sit in memory at once.
+        let chunk_tables = |sim: &EngineSim<'_>, wi: usize| {
+            let mut tables = vec![Vec::new(); 64];
+            assert!(sim.lane_toggle_tables(wi * 64, &mut tables), "lane toggles were enabled");
+            tables
         };
 
-        let (snapshots, toggles, lane_cycles) = run(SimdBackend::Portable);
-        assert_eq!(lane_cycles, (lanes * cycles) as u64);
+        let (snapshots, gold) = run(SimdBackend::Portable);
+        let toggles = gold.toggle_table().to_vec();
+        assert_eq!(gold.lane_cycles(), (lanes * cycles) as u64);
+        // The per-lane tables sum to the aggregate table.
+        let mut lane_sum = vec![0u64; module.net_count()];
+        for wi in 0..words {
+            for table in chunk_tables(&gold, wi) {
+                for (t, s) in lane_sum.iter_mut().zip(&table) {
+                    *t += s;
+                }
+            }
+        }
+        assert_eq!(lane_sum, toggles, "per-lane tables must sum to the aggregate at {lanes} lanes");
         for backend in [SimdBackend::Avx2, SimdBackend::Avx512, SimdBackend::Neon] {
             if !backend.detected() || backend.max_lanes() < lanes {
                 continue;
             }
-            let (snap, tog, lc) = run(backend);
+            let (snap, isa) = run(backend);
             assert_eq!(snap, snapshots, "{backend}: state snapshots diverge at {lanes} lanes");
-            assert_eq!(tog, toggles, "{backend}: toggle table diverges at {lanes} lanes");
-            assert_eq!(lc, lane_cycles, "{backend}: lane cycles diverge at {lanes} lanes");
+            assert_eq!(isa.toggle_table(), &toggles[..], "{backend}: toggle table diverges at {lanes} lanes");
+            assert_eq!(
+                isa.lane_cycles(),
+                gold.lane_cycles(),
+                "{backend}: lane cycles diverge at {lanes} lanes"
+            );
+            for wi in 0..words {
+                assert!(
+                    chunk_tables(&isa, wi) == chunk_tables(&gold, wi),
+                    "{backend}: per-lane toggle tables of lanes {}..{} diverge at {lanes} lanes",
+                    wi * 64,
+                    wi * 64 + 64
+                );
+            }
         }
 
         // The portable wide run re-chunked on the u64 backend: every
@@ -294,26 +328,38 @@ fn simd_backends_agree_at_every_word_seam() {
         }
         assert_eq!(toggles, narrow_toggles, "wide toggle table must equal the summed u64-chunk tables");
 
-        // Interpreter spot-check at the 512-lane word's u64 seams (the
-        // 256-lane seams are interpreter-pinned by the test above).
-        if lanes == 512 {
-            for l in [0usize, 63, 64, 255, 256, 447, 448, 511] {
-                let mut sim = Simulator::with_lowering(module, &lib, &low).unwrap();
-                for (c, snap) in snapshots.iter().enumerate() {
-                    for (pi, &net) in in_nets.iter().enumerate() {
-                        sim.poke(net, stimulus[l][c][pi]);
-                    }
-                    Simulator::step(&mut sim);
-                    for (n, net_words) in snap.iter().enumerate() {
-                        assert_eq!(
-                            sim.peek(NetId(n as u32)),
-                            (net_words[l / 64] >> (l % 64)) & 1 == 1,
-                            "lane {l} cycle {c}: net `{}` diverges from the interpreter",
-                            module.nets[n].name
-                        );
-                    }
+        // Interpreter spot-check at the lane word's u64 seams: states
+        // every cycle (at 512 lanes; the 256-lane states are
+        // interpreter-pinned by the test above) and the seam lane's
+        // per-lane toggle table at both widths.
+        let seams: &[usize] = if lanes == 512 {
+            &[0, 63, 64, 255, 256, 447, 448, 511]
+        } else {
+            &[0, 63, 64, 127, 128, 191, 192, 255]
+        };
+        for &l in seams {
+            let mut sim = Simulator::with_lowering(module, &lib, &low).unwrap();
+            for (c, snap) in snapshots.iter().enumerate() {
+                for (pi, &net) in in_nets.iter().enumerate() {
+                    sim.poke(net, stimulus[l][c][pi]);
+                }
+                Simulator::step(&mut sim);
+                if lanes < 512 {
+                    continue;
+                }
+                for (n, net_words) in snap.iter().enumerate() {
+                    assert_eq!(
+                        sim.peek(NetId(n as u32)),
+                        (net_words[l / 64] >> (l % 64)) & 1 == 1,
+                        "lane {l} cycle {c}: net `{}` diverges from the interpreter",
+                        module.nets[n].name
+                    );
                 }
             }
+            assert!(
+                gold.lane_toggle_table(l).expect("lane toggles were enabled") == sim.toggle_table(),
+                "lane {l}: per-lane toggle table diverges from the interpreter at {lanes} lanes"
+            );
         }
     }
 }

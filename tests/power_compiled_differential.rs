@@ -118,6 +118,44 @@ fn compiled_power_matches_reference_on_paper_test_chip() {
     }
 }
 
+/// The energy-only pass (`energy_per_cycle_pj`, the per-lane
+/// weight-update path) equals the full report's and the reference
+/// analyzer's energy per cycle bit for bit — on dense activity, on
+/// sparse activity where whole instances sit idle (the pass skips
+/// them), and on an all-zero table.
+#[test]
+fn energy_only_pass_is_bit_identical_to_reports() {
+    let lib = CellLibrary::syn40();
+    let spec = MacroSpec::paper_test_chip();
+    let mac = assemble(&lib, &spec, &DesignChoice::default());
+    let module = &mac.module;
+    let (dense, cycles) = measured_toggles(module, &lib);
+    let sparse: Vec<u64> = dense.iter().enumerate().map(|(n, &t)| if n % 3 == 0 { t } else { 0 }).collect();
+    let idle = vec![0u64; dense.len()];
+    for glitch in [1.25, 1.6] {
+        let mut pa =
+            PowerAnalyzer::with_wire_caps(module, &lib, &synthetic_caps(module.net_count())).unwrap();
+        pa.set_glitch_factor(glitch);
+        let cp = pa.compile();
+        for (toggles, label) in [(&dense, "dense"), (&sparse, "sparse"), (&idle, "idle")] {
+            for op in corners() {
+                let fast = cp.energy_per_cycle_pj(toggles, cycles, op);
+                for freq_mhz in [250.0, 1100.0] {
+                    let what = format!("{label} g={glitch} @ {:.2} V / {freq_mhz} MHz", op.vdd_v);
+                    let report = cp.report(toggles, cycles, freq_mhz, op);
+                    assert_eq!(
+                        fast.to_bits(),
+                        report.energy_per_cycle_pj.to_bits(),
+                        "{what}: compiled report"
+                    );
+                    let reference = pa.from_activity(toggles, cycles, freq_mhz, op);
+                    assert_eq!(fast.to_bits(), reference.energy_per_cycle_pj.to_bits(), "{what}: reference");
+                }
+            }
+        }
+    }
+}
+
 /// The hierarchical drill-down now carries the *complete* per-cycle
 /// picture: each path node holds its subcircuit's switching energy
 /// plus its registers' clock-pin energy (clock-tree overhead

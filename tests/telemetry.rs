@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use syndcim_core::{implement, measure_int, DesignChoice, MacroSpec};
+use syndcim_core::{implement, measure_int, measure_weight_update, DesignChoice, MacroSpec};
 use syndcim_ir::parallel_map_threads;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::Simulator;
@@ -104,6 +104,34 @@ fn implement_span_tree_nests_the_flow_phases() {
 
     // A fresh snapshot agrees with the attached report structurally.
     assert_eq!(telemetry::snapshot().root.signature(), im.report.root.signature());
+}
+
+/// The engine weight-update measurement nests its write, verify and
+/// energy phases under `eval.wu.engine`, and the bit-sliced per-lane
+/// counters report their footprint as whole planes of lane words.
+#[test]
+fn weight_update_phases_and_lane_counter_bytes_are_reported() {
+    let _guard = LOCK.lock().unwrap();
+    telemetry::set_mode(telemetry::Mode::Summary);
+
+    let lib = CellLibrary::syn40();
+    let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
+    telemetry::reset();
+    let m = measure_weight_update(&im, &lib, OperatingPoint::at_voltage(0.9), 400.0, 7).unwrap();
+    let report = telemetry::snapshot();
+
+    let wu = child(&report.root, "eval.wu.engine");
+    assert_eq!(wu.count, 1);
+    for phase in ["eval.wu.write", "eval.wu.verify", "eval.wu.energy"] {
+        assert_eq!(child(wu, phase).count, 1, "{phase}");
+    }
+    // The default pattern count rides the 8-byte u64 lane word.
+    assert!(m.patterns <= 64);
+    let plane_bytes = (im.mac.module.net_count() * 8) as u64;
+    let bytes = report.gauge("engine.lane_toggle_bytes").unwrap();
+    assert_eq!(bytes % plane_bytes, 0, "{bytes} B is not a whole number of planes");
+    // A short write burst: at least one plane, far fewer than 64.
+    assert!((1..16).contains(&(bytes / plane_bytes)), "{} planes", bytes / plane_bytes);
 }
 
 /// Worker counts must be invisible: the same fan-out aggregated on 1, 2
