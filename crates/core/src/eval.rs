@@ -605,19 +605,8 @@ pub(crate) fn lane_write_energy_fj(
 /// # Panics
 ///
 /// Panics if per-lane toggle accounting was not enabled on `sim`.
-pub(crate) fn for_each_lane_table(sim: &EngineSim<'_>, mut visit: impl FnMut(usize, &[u64])) {
-    let lanes = sim.lanes();
-    let mut tables = vec![Vec::new(); lanes.min(64)];
-    for first in (0..lanes).step_by(64) {
-        let chunk = &mut tables[..(lanes - first).min(64)];
-        assert!(
-            sim.lane_toggle_tables(first, chunk),
-            "per-lane toggles were enabled before driving stimulus"
-        );
-        for (j, toggles) in chunk.iter().enumerate() {
-            visit(first + j, toggles);
-        }
-    }
+pub(crate) fn for_each_lane_table(sim: &EngineSim<'_>, visit: impl FnMut(usize, &[u64])) {
+    assert!(sim.for_each_lane_table(visit), "per-lane toggles were enabled before driving stimulus");
 }
 
 /// Low-lane mask of 64-lane word `wi` in a `lanes`-lane batch.

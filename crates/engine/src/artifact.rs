@@ -224,7 +224,15 @@ pub fn decode_program(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Pr
         }
     }
 
-    Ok(Program { net_count, slot_count, ops, commits, seq_of_inst, syms: symbols.clone() })
+    Ok(Program {
+        net_count,
+        slot_count,
+        ops,
+        commits,
+        seq_of_inst,
+        syms: symbols.clone(),
+        blocks: Default::default(),
+    })
 }
 
 #[cfg(test)]

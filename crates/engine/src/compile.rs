@@ -139,6 +139,7 @@ impl Program {
             commits,
             seq_of_inst,
             syms: low.symbols().clone(),
+            blocks: Default::default(),
         };
         telemetry::counter("engine.ops_emitted").add(prog.op_count() as u64);
         telemetry::gauge("engine.retained_bytes").set(prog.retained_bytes() as u64);

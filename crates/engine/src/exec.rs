@@ -15,20 +15,30 @@
 //! pay the wide word for small batches and never select a data path the
 //! CPU lacks.
 //!
-//! A settle is one linear pass over the op stream — no hash maps, no
-//! per-cell dispatch through `Vec<bool>` buffers — and per-net toggles
-//! accumulate as `popcount((prev ^ next) & lane_mask)`, which makes an
-//! L-lane run report exactly the toggle totals of L separate interpreter
-//! runs over the same per-lane stimulus, at any word width. Each pass
-//! runs inside one [`LaneWord::dispatch`] call, so an ISA word pays one
-//! runtime dispatch per settle (never per op) and its intrinsic leaf
-//! functions inline into the pass.
+//! A settle is one forward pass over the levelized op stream — no hash
+//! maps, no per-cell dispatch through `Vec<bool>` buffers — that runs
+//! only the *blocks* (runs of at least 128 ops) with an input whose word
+//! changed since the block last ran (see `crate::block`). Every slot
+//! write compares the whole new word with the old one: a changed net
+//! stamps the settle's epoch on the slot, and a later block runs when
+//! one of its inputs carries that stamp (or when it was queued by a
+//! write from outside the pass). Commits skip the enable-type groups
+//! whose enable word is zero. A skipped op or commit would have written
+//! the word its slot already holds, so skipping changes no value and no
+//! toggle count. Per-net toggles accumulate as
+//! `popcount((prev ^ next) & lane_mask)`, which makes an L-lane run
+//! report exactly the toggle totals of L separate interpreter runs over
+//! the same per-lane stimulus, at any word width. Each pass runs inside
+//! one [`LaneWord::dispatch`] call, so an ISA word pays one runtime
+//! dispatch per settle (never per op) and its intrinsic leaf functions
+//! inline into the pass.
 
 use syndcim_netlist::{InstId, Module, NetId};
 use syndcim_pdk::SeqUpdate;
 use syndcim_sim::SimBackend;
 use syndcim_telemetry as telemetry;
 
+use crate::block::{Blocks, Driver};
 use crate::fault::{EngineError, FaultKind, FaultPlan};
 use crate::program::{Op, Program};
 use crate::simd::{SimdBackend, SimdPolicy};
@@ -72,8 +82,27 @@ pub struct BatchExec<'a, W: LaneWord> {
     slots: Vec<W>,
     /// Stored state word per sequential element (dense commit order).
     state: Vec<W>,
-    /// Capture buffer reused every step.
+    /// Capture buffer reused every step: the next state of commit
+    /// `run[j]` is `next[j]`.
     next: Vec<W>,
+    run: Vec<u32>,
+    /// The program's activity-gating tables.
+    blocks: &'a Blocks,
+    /// Per net slot: the epoch of its last change, 0 for none. A
+    /// settle runs at `epoch + 1`; writes between settles stamp that
+    /// epoch too, so the next settle sees them. One byte per net keeps
+    /// the stamps a block checks in the L1 cache; before the counter
+    /// would wrap, every stamp (all of them from finished settles) is
+    /// cleared and the count restarts.
+    changed_at: Vec<u8>,
+    epoch: u8,
+    /// Blocks that run at the next settle whatever their inputs: one
+    /// of their outputs was written from outside a pass.
+    queued: Vec<bool>,
+    /// Commits that run at the next step whatever their enable (their
+    /// `q` was written from outside), with membership flags.
+    requeued: Vec<u32>,
+    is_requeued: Vec<bool>,
     /// Per-net toggle counts summed over active lanes.
     toggles: Vec<u64>,
     /// Optional per-lane toggle counters, bit-sliced in the lane word.
@@ -93,9 +122,17 @@ pub struct BatchExec<'a, W: LaneWord> {
     /// per op) when telemetry is off. Toggle and lane-cycle totals are
     /// flushed in bulk on [`BatchExec::reset_activity`]/drop instead of
     /// being counted per write — the per-op `write` path carries no
-    /// instrumentation at all.
+    /// instrumentation at all. The gating counters are added once per
+    /// settle and per commit pass: `engine.ops_executed` counts only
+    /// the ops that ran, `engine.ops_skipped` the ops of the blocks
+    /// that did not (the two sum to settles × op count),
+    /// `engine.blocks_run` the blocks that ran and `engine.commits_run`
+    /// the commits that ran.
     ctr_settles: telemetry::Counter,
     ctr_ops: telemetry::Counter,
+    ctr_ops_skipped: telemetry::Counter,
+    ctr_blocks: telemetry::Counter,
+    ctr_commits: telemetry::Counter,
 }
 
 /// The 64-lane executor (one `u64` per slot).
@@ -122,12 +159,21 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         assert_eq!(prog.net_count, module.net_count(), "program/module net-count mismatch");
         assert_eq!(prog.seq_of_inst.len(), module.instance_count(), "program/module instance-count mismatch");
         telemetry::counter("engine.executors").incr();
+        let blocks = prog.blocks();
         BatchExec {
             prog,
             module,
             slots: vec![W::splat(false); prog.slot_count],
             state: vec![W::splat(false); prog.commits.len()],
             next: vec![W::splat(false); prog.commits.len()],
+            run: vec![0; prog.commits.len()],
+            blocks,
+            changed_at: vec![0; prog.net_count],
+            epoch: 0,
+            // The first settle runs every block.
+            queued: vec![true; blocks.len()],
+            requeued: Vec::new(),
+            is_requeued: vec![false; prog.commits.len()],
             toggles: vec![0; prog.net_count],
             lane_counters: None,
             faults: None,
@@ -136,6 +182,9 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             lane_cycles: 0,
             ctr_settles: telemetry::counter("engine.settles"),
             ctr_ops: telemetry::counter("engine.ops_executed"),
+            ctr_ops_skipped: telemetry::counter("engine.ops_skipped"),
+            ctr_blocks: telemetry::counter("engine.blocks_run"),
+            ctr_commits: telemetry::counter("engine.commits_run"),
         }
     }
 
@@ -233,46 +282,94 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             table.clear();
             table.resize(self.prog.net_count, 0);
         }
-        // Runs in the word's ISA context so the transpose of the plane
-        // bits into per-lane counts vectorizes with the word's shifts.
-        W::dispatch(|| {
-            let mut buf = [0u64; 64];
-            let counts = &mut buf[..tables.len()];
-            for (net, &total) in self.toggles.iter().enumerate() {
-                if total == 0 {
-                    continue;
-                }
-                counts.fill(0);
-                for (k, word) in counters.of(net).iter().enumerate() {
-                    let bits = word.get_u64(chunk) >> shift;
-                    if bits != 0 {
-                        for (j, count) in counts.iter_mut().enumerate() {
-                            *count |= ((bits >> j) & 1) << k;
-                        }
-                    }
-                }
-                for (table, &count) in tables.iter_mut().zip(counts.iter()) {
-                    table[net] = count;
-                }
-            }
-        });
+        let active: Vec<u32> = self.active_nets().collect();
+        decode_chunk(counters, &active, chunk, shift, tables);
         true
+    }
+
+    /// Visit every active lane's per-net toggle table (indexed by
+    /// [`NetId::index`]) in lane order, decoding one 64-lane chunk at a
+    /// time into up to 64 tables owned by the call. The nets with a
+    /// non-zero aggregate count are listed once; the tables are
+    /// allocated zeroed once, and every chunk overwrites only those
+    /// nets' entries — every other net is zero in every lane. Returns
+    /// `false`, visiting nothing, when per-lane accounting is off.
+    pub fn for_each_lane_table(&self, mut visit: impl FnMut(usize, &[u64])) -> bool {
+        let Some(counters) = &self.lane_counters else { return false };
+        let active: Vec<u32> = self.active_nets().collect();
+        let mut tables: Vec<Vec<u64>> =
+            (0..self.lanes.min(64)).map(|_| vec![0; self.prog.net_count]).collect();
+        for first in (0..self.lanes).step_by(64) {
+            let chunk = &mut tables[..(self.lanes - first).min(64)];
+            decode_chunk(counters, &active, first / 64, 0, chunk);
+            for (j, table) in chunk.iter().enumerate() {
+                visit(first + j, table);
+            }
+        }
+        true
+    }
+
+    /// The nets with a non-zero aggregate toggle count — the only
+    /// nets any lane toggled.
+    fn active_nets(&self) -> impl Iterator<Item = u32> + '_ {
+        self.toggles.iter().enumerate().filter(|&(_, &t)| t != 0).map(|(net, _)| net as u32)
     }
 
     /// [`BatchExec::write_as`] for the writes outside the settle and
     /// commit passes (pokes, state forces, fault arming), choosing the
-    /// per-lane counting variant at run time.
+    /// per-lane counting variant at run time. A changed net is stamped
+    /// for the next settle and its writer is queued: the block or
+    /// commit that a full pass would run to overwrite the value.
     #[inline(always)]
     fn write(&mut self, dst: u32, val: W) {
-        if self.lane_counters.is_some() {
-            self.write_as::<true>(dst, val);
+        let epoch = self.epoch + 1;
+        // Inside the word's ISA frame, so its leaf functions inline.
+        let changed = if self.lane_counters.is_some() {
+            W::dispatch(|| self.write_as::<true>(dst, val, epoch, false))
         } else {
-            self.write_as::<false>(dst, val);
+            W::dispatch(|| self.write_as::<false>(dst, val, epoch, false))
+        };
+        if changed {
+            match self.blocks.driver(dst as usize) {
+                Driver::None => {}
+                Driver::Block(b) => self.queued[b as usize] = true,
+                Driver::Commit(c) => self.requeue(c),
+            }
         }
     }
 
-    /// The single slot-write choke point: fault masks, aggregate and
-    /// per-lane toggle accounting all hang here, width-generically.
+    /// Run commit `c` at the next step whatever its enable.
+    fn requeue(&mut self, c: u32) {
+        if !std::mem::replace(&mut self.is_requeued[c as usize], true) {
+            self.requeued.push(c);
+        }
+    }
+
+    /// Run every block at the next settle and every commit at the next
+    /// step, as a full pass would: removing a fault plan leaves masked
+    /// values in slots whose inputs did not change.
+    fn queue_everything(&mut self) {
+        self.queued.fill(true);
+        for c in 0..self.prog.commits.len() as u32 {
+            self.requeue(c);
+        }
+    }
+
+    /// The single slot-write choke point: fault masks, change
+    /// detection, aggregate and per-lane toggle accounting all hang
+    /// here, width-generically. Returns whether a net slot's word
+    /// changed — in any lane, active or not, so values in inactive
+    /// lanes keep propagating — and stamps it with `epoch` if so.
+    ///
+    /// Writes from outside the settle pass keep an older stamp when
+    /// the word did not change. The settle pass (`in_settle`) instead
+    /// stores the stamp unconditionally — a branch there mispredicts
+    /// on every other op of a busy pass, and a conditional move on a
+    /// loaded stamp compiles back into that branch. Clearing the stamp
+    /// is safe because this is the slot's only write of the settle: a
+    /// stamp from between settles can only sit on the output of a
+    /// queued block, and [`BatchExec::settle_pass`] restamps those.
+    ///
     /// `COUNT_LANES` is fixed per pass ([`SimBackend::settle`] picks
     /// it once), so the nominal passes compile without any trace of
     /// the per-lane counters. `inline(always)` is load-bearing: every
@@ -281,22 +378,37 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// compiles without the ISA features and every op pays a vector-ABI
     /// call.
     #[inline(always)]
-    fn write_as<const COUNT_LANES: bool>(&mut self, dst: u32, mut val: W) {
+    fn write_as<const COUNT_LANES: bool>(
+        &mut self,
+        dst: u32,
+        mut val: W,
+        epoch: u8,
+        in_settle: bool,
+    ) -> bool {
         let d = dst as usize;
-        if d < self.prog.net_count {
-            if let Some(f) = &self.faults {
-                val = val.and(f.and[d]).or(f.or[d]).xor(f.xor[d]);
-            }
-            let old = self.slots[d];
-            let flips = old.xor(val).and(self.mask);
-            flips.popcount_accum(W::splat(true), &mut self.toggles[d]);
-            if COUNT_LANES {
-                if let Some(counters) = &mut self.lane_counters {
-                    counters.add(d, flips, self.prog.net_count);
-                }
+        if d >= self.prog.net_count {
+            self.slots[d] = val;
+            return false;
+        }
+        if let Some(f) = &self.faults {
+            val = val.and(f.and[d]).or(f.or[d]).xor(f.xor[d]);
+        }
+        let diff = self.slots[d].xor(val);
+        let changed = !diff.is_zero();
+        self.slots[d] = val;
+        if in_settle {
+            self.changed_at[d] = epoch & u8::from(changed).wrapping_neg();
+        } else if changed {
+            self.changed_at[d] = epoch;
+        }
+        let flips = diff.and(self.mask);
+        flips.popcount_accum(W::splat(true), &mut self.toggles[d]);
+        if COUNT_LANES {
+            if let Some(counters) = &mut self.lane_counters {
+                counters.add(d, flips, self.prog.net_count);
             }
         }
-        self.slots[d] = val;
+        changed
     }
 
     /// Install a [`FaultPlan`], compiling it into the per-slot mask
@@ -308,7 +420,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// an empty plan is equivalent to [`BatchExec::clear_faults`].
     pub fn install_faults(&mut self, plan: &FaultPlan) -> Result<(), EngineError> {
         plan.validate(self.prog.net_count, self.lanes)?;
-        self.faults = None;
+        self.clear_faults();
         if plan.is_empty() {
             return Ok(());
         }
@@ -352,10 +464,13 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
 
     /// Remove the installed fault plan (if any). Slot values are left
     /// as they are — the next settle recomputes every internal net
-    /// fault-free; input nets keep their last (possibly forced) value
-    /// until re-driven.
+    /// fault-free and the next step commits every state element again;
+    /// input nets keep their last (possibly forced) value until
+    /// re-driven.
     pub fn clear_faults(&mut self) {
-        self.faults = None;
+        if self.faults.take().is_some() {
+            self.queue_everything();
+        }
     }
 
     /// Whether a non-empty fault plan is currently installed.
@@ -443,60 +558,118 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         self.write(net.index() as u32, word);
     }
 
-    /// One linear pass over the levelized op stream. Runs inside
-    /// [`LaneWord::dispatch`] (see [`SimBackend::settle`]) so an ISA
-    /// word's intrinsic leaf functions inline here; keep it
+    /// One forward pass over the blocks of the levelized op stream,
+    /// running a block only if it is queued or one of its inputs
+    /// changed in this epoch. Returns the blocks and ops that ran. Runs
+    /// inside [`LaneWord::dispatch`] (see [`SimBackend::settle`]) so an
+    /// ISA word's intrinsic leaf functions inline here; keep it
     /// `inline(always)` so the closure body actually lands in the
     /// `#[target_feature]` trampoline.
     #[inline(always)]
-    fn settle_pass<const COUNT_LANES: bool>(&mut self) {
-        for k in 0..self.prog.ops.len() {
-            let op = self.prog.ops[k];
-            let val = match op {
-                Op::Const { ones, .. } => W::splat(ones),
-                Op::Copy { a, .. } => self.slots[a as usize],
-                Op::Not { a, .. } => self.slots[a as usize].not(),
-                Op::And { a, b, .. } => self.slots[a as usize].and(self.slots[b as usize]),
-                Op::Or { a, b, .. } => self.slots[a as usize].or(self.slots[b as usize]),
-                Op::Xor { a, b, .. } => self.slots[a as usize].xor(self.slots[b as usize]),
-                Op::Mux { d0, d1, s, .. } => {
-                    W::mux(self.slots[d0 as usize], self.slots[d1 as usize], self.slots[s as usize])
+    fn settle_pass<const COUNT_LANES: bool>(&mut self) -> (u64, u64) {
+        let (prog, blocks) = (self.prog, self.blocks);
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let (mut blocks_run, mut ops_run) = (0, 0);
+        for b in 0..blocks.len() {
+            let queued = std::mem::take(&mut self.queued[b]);
+            if !queued
+                && blocks.gated
+                && !blocks.inputs(b).iter().any(|&s| self.changed_at[s as usize] == epoch)
+            {
+                continue;
+            }
+            let ops = blocks.ops(b);
+            blocks_run += 1;
+            ops_run += ops.len() as u64;
+            for &op in &prog.ops[ops] {
+                let val = match op {
+                    Op::Const { ones, .. } => W::splat(ones),
+                    Op::Copy { a, .. } => self.slots[a as usize],
+                    Op::Not { a, .. } => self.slots[a as usize].not(),
+                    Op::And { a, b, .. } => self.slots[a as usize].and(self.slots[b as usize]),
+                    Op::Or { a, b, .. } => self.slots[a as usize].or(self.slots[b as usize]),
+                    Op::Xor { a, b, .. } => self.slots[a as usize].xor(self.slots[b as usize]),
+                    Op::Mux { d0, d1, s, .. } => {
+                        W::mux(self.slots[d0 as usize], self.slots[d1 as usize], self.slots[s as usize])
+                    }
+                };
+                self.write_as::<COUNT_LANES>(op.dst(), val, epoch, true);
+            }
+            if queued {
+                // An output written between settles may have just been
+                // rewritten unchanged, clearing its stamp: its
+                // consumers have not seen the earlier change yet.
+                for &op in &prog.ops[blocks.ops(b)] {
+                    if let Some(stamp) = self.changed_at.get_mut(op.dst() as usize) {
+                        *stamp = epoch;
+                    }
                 }
-            };
-            let dst = match op {
-                Op::Const { dst, .. }
-                | Op::Copy { dst, .. }
-                | Op::Not { dst, .. }
-                | Op::And { dst, .. }
-                | Op::Or { dst, .. }
-                | Op::Xor { dst, .. }
-                | Op::Mux { dst, .. } => dst,
-            };
-            self.write_as::<COUNT_LANES>(dst, val);
+            }
         }
+        if epoch == u8::MAX - 1 {
+            // Every stamp so far belongs to a finished settle.
+            self.changed_at.fill(0);
+            self.epoch = 0;
+        }
+        (blocks_run, ops_run)
     }
 
-    /// Capture every next state from pre-edge values, then commit
-    /// states and q nets — the sequential half of [`SimBackend::step`].
-    /// Runs inside [`LaneWord::dispatch`] like [`BatchExec::settle_pass`].
+    /// Capture commit `i`'s next state from pre-edge values into
+    /// `next[*n]`.
     #[inline(always)]
-    fn capture_commit_pass<const COUNT_LANES: bool>(&mut self) {
-        for (i, c) in self.prog.commits.iter().enumerate() {
-            let cur = self.state[i];
-            self.next[i] = match c.update {
-                SeqUpdate::Edge => self.slots[c.in0 as usize],
-                SeqUpdate::EdgeEnable => W::mux(cur, self.slots[c.in0 as usize], self.slots[c.in1 as usize]),
-                SeqUpdate::BitcellWrite => {
-                    W::mux(cur, self.slots[c.in1 as usize], self.slots[c.in0 as usize])
+    fn capture(&mut self, i: u32, n: &mut usize) {
+        let c = self.prog.commits[i as usize];
+        let cur = self.state[i as usize];
+        self.next[*n] = match c.update {
+            SeqUpdate::Edge => self.slots[c.in0 as usize],
+            SeqUpdate::EdgeEnable => W::mux(cur, self.slots[c.in0 as usize], self.slots[c.in1 as usize]),
+            SeqUpdate::BitcellWrite => W::mux(cur, self.slots[c.in1 as usize], self.slots[c.in0 as usize]),
+        };
+        self.run[*n] = i;
+        *n += 1;
+    }
+
+    /// Capture every next state that can change from pre-edge values,
+    /// then commit states and q nets — the sequential half of
+    /// [`SimBackend::step`]. `Edge` registers always run; an enable
+    /// group whose enable word is zero in every lane would keep every
+    /// state (`mux(cur, d, 0) = cur`) and is skipped, unless one of its
+    /// commits was requeued. Returns the commits that ran. Runs inside
+    /// [`LaneWord::dispatch`] like [`BatchExec::settle_pass`].
+    #[inline(always)]
+    fn capture_commit_pass<const COUNT_LANES: bool>(&mut self) -> usize {
+        let blocks = self.blocks;
+        let mut n = 0;
+        for &i in &blocks.always {
+            self.capture(i, &mut n);
+        }
+        for g in &blocks.groups {
+            if !self.slots[g.en as usize].is_zero() {
+                for &i in &blocks.grouped[g.start as usize..g.end as usize] {
+                    self.capture(i, &mut n);
                 }
-            };
+            }
         }
-        for i in 0..self.prog.commits.len() {
-            let nv = self.next[i];
-            let q = self.prog.commits[i].q;
+        // Requeued commits of the skipped groups (the others ran).
+        for j in 0..self.requeued.len() {
+            let i = self.requeued[j];
+            let c = self.prog.commits[i as usize];
+            if blocks.gated && c.enable().is_some_and(|en| self.slots[en as usize].is_zero()) {
+                self.capture(i, &mut n);
+            }
+        }
+        for &i in &self.requeued {
+            self.is_requeued[i as usize] = false;
+        }
+        self.requeued.clear();
+        let epoch = self.epoch + 1;
+        for j in 0..n {
+            let (i, nv) = (self.run[j] as usize, self.next[j]);
             self.state[i] = nv;
-            self.write_as::<COUNT_LANES>(q, nv);
+            self.write_as::<COUNT_LANES>(self.prog.commits[i].q, nv, epoch, false);
         }
+        n
     }
 }
 
@@ -523,6 +696,37 @@ struct LaneCounters<W> {
     words: Vec<W>,
 }
 
+/// Write the per-lane counts of `nets` for lanes `chunk * 64 + shift
+/// + j` into `tables[j][net]`, transposing the counter planes' bits.
+fn decode_chunk<W: LaneWord>(
+    counters: &LaneCounters<W>,
+    nets: &[u32],
+    chunk: usize,
+    shift: usize,
+    tables: &mut [Vec<u64>],
+) {
+    // Runs in the word's ISA context so the transpose of the plane
+    // bits into per-lane counts vectorizes with the word's shifts.
+    W::dispatch(|| {
+        let mut buf = [0u64; 64];
+        let counts = &mut buf[..tables.len()];
+        for &net in nets {
+            counts.fill(0);
+            for (k, word) in counters.of(net as usize).iter().enumerate() {
+                let bits = word.get_u64(chunk) >> shift;
+                if bits != 0 {
+                    for (j, count) in counts.iter_mut().enumerate() {
+                        *count |= ((bits >> j) & 1) << k;
+                    }
+                }
+            }
+            for (table, &count) in tables.iter_mut().zip(counts.iter()) {
+                table[net as usize] = count;
+            }
+        }
+    });
+}
+
 impl<W: LaneWord> LaneCounters<W> {
     /// Planes allocated on the first flip: counts below 256 never
     /// re-lay out (the paper chip's 128-write weight-update burst stays
@@ -544,8 +748,7 @@ impl<W: LaneWord> LaneCounters<W> {
     /// ripple-carry add that stops as soon as the carry clears.
     #[inline(always)]
     fn add(&mut self, d: usize, flips: W, nets: usize) {
-        let zero = W::splat(false);
-        if flips == zero {
+        if flips.is_zero() {
             return;
         }
         let mut carry = flips;
@@ -554,7 +757,7 @@ impl<W: LaneWord> LaneCounters<W> {
             let bits = *word;
             *word = bits.xor(carry);
             carry = bits.and(carry);
-            if carry == zero {
+            if carry.is_zero() {
                 return;
             }
         }
@@ -613,26 +816,29 @@ impl<W: LaneWord> SimBackend for BatchExec<'_, W> {
     }
 
     fn settle(&mut self) {
-        self.ctr_settles.incr();
-        self.ctr_ops.add(self.prog.ops.len() as u64);
         // One runtime dispatch for the whole pass: the closure compiles
         // inside the word's `#[target_feature]` trampoline (identity
         // for portable words).
-        if self.lane_counters.is_some() {
-            W::dispatch(|| self.settle_pass::<true>());
+        let (blocks, ops) = if self.lane_counters.is_some() {
+            W::dispatch(|| self.settle_pass::<true>())
         } else {
-            W::dispatch(|| self.settle_pass::<false>());
-        }
+            W::dispatch(|| self.settle_pass::<false>())
+        };
+        self.ctr_settles.incr();
+        self.ctr_blocks.add(blocks);
+        self.ctr_ops.add(ops);
+        self.ctr_ops_skipped.add(self.prog.ops.len() as u64 - ops);
     }
 
     fn step(&mut self) {
         self.advance_fault_cycle();
         self.settle();
-        if self.lane_counters.is_some() {
-            W::dispatch(|| self.capture_commit_pass::<true>());
+        let commits = if self.lane_counters.is_some() {
+            W::dispatch(|| self.capture_commit_pass::<true>())
         } else {
-            W::dispatch(|| self.capture_commit_pass::<false>());
-        }
+            W::dispatch(|| self.capture_commit_pass::<false>())
+        };
+        self.ctr_commits.add(commits as u64);
         self.lane_cycles += self.lanes as u64;
         self.settle();
     }
@@ -925,6 +1131,12 @@ impl<'a> EngineSim<'a> {
     /// [`BatchExec::lane_toggle_tables`]).
     pub fn lane_toggle_tables(&self, first_lane: usize, tables: &mut [Vec<u64>]) -> bool {
         delegate!(self, s => s.lane_toggle_tables(first_lane, tables))
+    }
+
+    /// Visit every active lane's toggle table in lane order (see
+    /// [`BatchExec::for_each_lane_table`]).
+    pub fn for_each_lane_table(&self, visit: impl FnMut(usize, &[u64])) -> bool {
+        delegate!(self, s => s.for_each_lane_table(visit))
     }
 
     /// Install a per-lane fault plan (see [`BatchExec::install_faults`]).

@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+mod block;
 pub mod compile;
 pub mod exec;
 pub mod fault;

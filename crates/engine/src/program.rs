@@ -9,8 +9,12 @@
 //! ops — they appear as `Commit` records executed once per clock
 //! cycle.
 
+use std::sync::OnceLock;
+
 use syndcim_ir::Symbols;
 use syndcim_pdk::SeqUpdate;
+
+use crate::block::Blocks;
 
 /// Number of scratch slots appended after the net slots. The widest
 /// lowering (the 4-2 compressor) uses five temporaries.
@@ -52,6 +56,45 @@ pub(crate) struct Commit {
     pub q: u32,
 }
 
+impl Op {
+    /// The slot this op writes.
+    #[inline(always)]
+    pub(crate) fn dst(self) -> u32 {
+        match self {
+            Op::Const { dst, .. }
+            | Op::Copy { dst, .. }
+            | Op::Not { dst, .. }
+            | Op::And { dst, .. }
+            | Op::Or { dst, .. }
+            | Op::Xor { dst, .. }
+            | Op::Mux { dst, .. } => dst,
+        }
+    }
+
+    /// The slots this op reads.
+    pub(crate) fn srcs(self) -> impl Iterator<Item = u32> {
+        let (slots, n) = match self {
+            Op::Const { .. } => ([0; 3], 0),
+            Op::Copy { a, .. } | Op::Not { a, .. } => ([a, 0, 0], 1),
+            Op::And { a, b, .. } | Op::Or { a, b, .. } | Op::Xor { a, b, .. } => ([a, b, 0], 2),
+            Op::Mux { d0, d1, s, .. } => ([d0, d1, s], 3),
+        };
+        slots.into_iter().take(n)
+    }
+}
+
+impl Commit {
+    /// The slot whose all-zero word makes this commit a no-op, or
+    /// `None` for an `Edge` register.
+    pub(crate) fn enable(&self) -> Option<u32> {
+        match self.update {
+            SeqUpdate::Edge => None,
+            SeqUpdate::EdgeEnable => Some(self.in1),
+            SeqUpdate::BitcellWrite => Some(self.in0),
+        }
+    }
+}
+
 /// A compiled, levelized bit-parallel simulation program.
 ///
 /// Build one with [`Program::compile`][crate::Program::compile]; execute
@@ -63,7 +106,7 @@ pub struct Program {
     pub(crate) net_count: usize,
     /// Total slots including scratch registers.
     pub(crate) slot_count: usize,
-    /// Levelized combinational op stream (one settle = one linear pass).
+    /// Levelized combinational op stream.
     pub(crate) ops: Vec<Op>,
     /// Sequential commits, in instance order.
     pub(crate) commits: Vec<Commit>,
@@ -74,6 +117,9 @@ pub struct Program {
     /// lowering's [`Symbols`]) — resolved lazily by the label helpers;
     /// the program owns no `String` tables.
     pub(crate) syms: Symbols,
+    /// Activity-gating tables, built on first executor use and never
+    /// serialized (see [`crate::block`]).
+    pub(crate) blocks: OnceLock<Blocks>,
 }
 
 impl Program {
@@ -92,6 +138,12 @@ impl Program {
         self.commits.len()
     }
 
+    /// The activity-gating tables, built on the first call (by the
+    /// first executor over this program) and shared by every later one.
+    pub(crate) fn blocks(&self) -> &Blocks {
+        self.blocks.get_or_init(|| Blocks::build(self))
+    }
+
     /// The interned name tables this program resolves labels against
     /// (shared with the lowering it was compiled from).
     pub fn symbols(&self) -> &Symbols {
@@ -104,7 +156,8 @@ impl Program {
     /// and the other compiled artifacts of the same macro, so the name
     /// layer is counted once per holder, not duplicated per holder).
     /// Reported as the `engine.retained_bytes` telemetry gauge at
-    /// compile time.
+    /// compile time. The activity-gating tables, built on first
+    /// executor use, are not counted.
     pub fn retained_bytes(&self) -> usize {
         self.ops.len() * std::mem::size_of::<Op>()
             + self.commits.len() * std::mem::size_of::<Commit>()

@@ -92,6 +92,12 @@ pub trait LaneWord: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     /// toggle-accounting primitive.
     fn popcount_accum(self, mask: Self, acc: &mut u64);
 
+    /// Whether no lane is set — the activity test of the gated settle
+    /// and of the per-lane counters. ISA words implement it with one
+    /// vector test (`vptest`/`vptestmq`) so it stays inside the pass's
+    /// `#[target_feature]` frame.
+    fn is_zero(self) -> bool;
+
     /// 64-lane chunk `idx` (lanes `idx*64 .. idx*64+64`).
     ///
     /// # Panics
@@ -189,6 +195,11 @@ impl LaneWord for u64 {
     }
 
     #[inline]
+    fn is_zero(self) -> bool {
+        self == 0
+    }
+
+    #[inline]
     fn get_u64(self, idx: usize) -> u64 {
         assert_eq!(idx, 0, "u64 word has one 64-lane chunk");
         self
@@ -255,6 +266,11 @@ macro_rules! portable_wide_word {
             }
 
             #[inline]
+            fn is_zero(self) -> bool {
+                self.0.iter().fold(0, |acc, &c| acc | c) == 0
+            }
+
+            #[inline]
             fn get_u64(self, idx: usize) -> u64 {
                 self.0[idx]
             }
@@ -290,6 +306,7 @@ mod tests {
         let mut acc = 0;
         0xF0u64.popcount_accum(u64::mask(6), &mut acc);
         assert_eq!(acc, 2); // bits 4 and 5 survive the 6-lane mask
+        assert!(0u64.is_zero() && !(1u64 << 63).is_zero());
     }
 
     #[test]
@@ -324,6 +341,7 @@ mod tests {
         assert_eq!(w.and(inv), W256::splat(false));
         assert_eq!(w.or(inv), W256::splat(true));
         assert_eq!(w.xor(w), W256::splat(false));
+        assert!(w.xor(w).is_zero() && !w.is_zero() && !W256::splat(false).with_lane(255, true).is_zero());
         let mut acc = 0;
         w.popcount_accum(W256::mask(256), &mut acc);
         assert_eq!(acc, 7);
@@ -346,6 +364,7 @@ mod tests {
         assert_eq!(w.and(inv), W512::splat(false));
         assert_eq!(w.or(inv), W512::splat(true));
         assert_eq!(w.xor(w), W512::splat(false));
+        assert!(w.xor(w).is_zero() && !w.is_zero() && !W512::splat(false).with_lane(511, true).is_zero());
         let mut acc = 0;
         w.popcount_accum(W512::mask(512), &mut acc);
         assert_eq!(acc, 6);

@@ -92,6 +92,14 @@ unsafe fn neon_mux(d0: [uint64x2_t; 2], d1: [uint64x2_t; 2], s: [uint64x2_t; 2])
     [vbslq_u64(s[0], d1[0], d0[0]), vbslq_u64(s[1], d1[1], d0[1])]
 }
 
+/// Whether no bit is set: OR the two registers, then one horizontal
+/// max (`umaxv`) over the 32-bit lanes.
+#[target_feature(enable = "neon")]
+#[inline]
+unsafe fn neon_is_zero(a: [uint64x2_t; 2]) -> bool {
+    vmaxvq_u32(vreinterpretq_u32_u64(vorrq_u64(a[0], a[1]))) == 0
+}
+
 impl LaneWord for W256Neon {
     const LANES: usize = 256;
     const WORDS: usize = 4;
@@ -147,6 +155,12 @@ impl LaneWord for W256Neon {
             n += (a[i] & m[i]).count_ones();
         }
         *acc += n as u64;
+    }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        // SAFETY: module contract.
+        unsafe { neon_is_zero(self.0) }
     }
 
     #[inline]

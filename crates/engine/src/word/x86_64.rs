@@ -101,6 +101,13 @@ unsafe fn avx2_mux(d0: __m256i, d1: __m256i, s: __m256i) -> __m256i {
     _mm256_or_si256(_mm256_and_si256(s, d1), _mm256_andnot_si256(s, d0))
 }
 
+/// `vptest`: whether `a` has no bit set.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn avx2_is_zero(a: __m256i) -> bool {
+    _mm256_testz_si256(a, a) != 0
+}
+
 impl LaneWord for W256Avx2 {
     const LANES: usize = 256;
     const WORDS: usize = 4;
@@ -155,6 +162,12 @@ impl LaneWord for W256Avx2 {
             n += (a[i] & m[i]).count_ones();
         }
         *acc += n as u64;
+    }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        // SAFETY: module contract.
+        unsafe { avx2_is_zero(self.0) }
     }
 
     #[inline]
@@ -262,6 +275,13 @@ unsafe fn avx512_popcount(a: __m512i, m: __m512i) -> u64 {
     _mm512_reduce_add_epi64(_mm512_popcnt_epi64(_mm512_and_si512(a, m))) as u64
 }
 
+/// `vptestmq`: whether `a` has no bit set.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn avx512_is_zero(a: __m512i) -> bool {
+    _mm512_test_epi64_mask(a, a) == 0
+}
+
 impl LaneWord for W512Avx512 {
     const LANES: usize = 512;
     const WORDS: usize = 8;
@@ -311,6 +331,12 @@ impl LaneWord for W512Avx512 {
     fn popcount_accum(self, mask: Self, acc: &mut u64) {
         // SAFETY: module contract.
         *acc += unsafe { avx512_popcount(self.0, mask.0) };
+    }
+
+    #[inline]
+    fn is_zero(self) -> bool {
+        // SAFETY: module contract.
+        unsafe { avx512_is_zero(self.0) }
     }
 
     #[inline]
@@ -372,6 +398,8 @@ mod tests {
             assert_eq!(va.or(vb).to_array(), pa.or(pb).0);
             assert_eq!(va.xor(vb).to_array(), pa.xor(pb).0);
             assert_eq!(va.not().to_array(), pa.not().0);
+            assert_eq!(va.is_zero(), pa.is_zero());
+            assert_eq!(va.xor(va).is_zero(), pa.xor(pa).is_zero());
             assert_eq!(W256Avx2::mux(va, vb, va.not()).to_array(), W256::mux(pa, pb, pa.not()).0, "mux");
             for lanes in [1, 63, 64, 65, 200, 255, 256] {
                 assert_eq!(W256Avx2::mask(lanes).to_array(), W256::mask(lanes).0, "mask({lanes})");
@@ -401,6 +429,8 @@ mod tests {
             assert_eq!(va.or(vb).to_array(), pa.or(pb).0);
             assert_eq!(va.xor(vb).to_array(), pa.xor(pb).0);
             assert_eq!(va.not().to_array(), pa.not().0);
+            assert_eq!(va.is_zero(), pa.is_zero());
+            assert_eq!(va.xor(va).is_zero(), pa.xor(pa).is_zero());
             assert_eq!(W512Avx512::mux(va, vb, vb.not()).to_array(), W512::mux(pa, pb, pb.not()).0, "mux");
             for lanes in [1, 64, 255, 256, 257, 448, 449, 511, 512] {
                 assert_eq!(W512Avx512::mask(lanes).to_array(), W512::mask(lanes).0, "mask({lanes})");
@@ -414,7 +444,9 @@ mod tests {
         for lane in [0usize, 255, 256, 448, 511] {
             w = w.with_lane(lane, true);
             assert!(w.lane(lane), "lane {lane}");
+            assert!(!W512Avx512::splat(false).with_lane(lane, true).is_zero(), "lane {lane}");
         }
+        assert!(W512Avx512::splat(false).is_zero());
         assert_eq!(W512Avx512::dispatch(|| 7), 7);
     }
 }

@@ -134,6 +134,28 @@ fn weight_update_phases_and_lane_counter_bytes_are_reported() {
     assert!((1..16).contains(&(bytes / plane_bytes)), "{} planes", bytes / plane_bytes);
 }
 
+/// The gated engine reports what it ran: on a weight update, where a
+/// write burst touches one row at a time, most ops are skipped, and
+/// every settle accounts for each op once, as run or as skipped.
+#[test]
+fn weight_update_gating_counters_add_up() {
+    let _guard = LOCK.lock().unwrap();
+    telemetry::set_mode(telemetry::Mode::Summary);
+
+    let lib = CellLibrary::syn40();
+    let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
+    telemetry::reset();
+    measure_weight_update(&im, &lib, OperatingPoint::at_voltage(0.9), 400.0, 7).unwrap();
+    let report = telemetry::snapshot();
+
+    let counter = |name: &str| report.counter(name).unwrap_or_else(|| panic!("counter `{name}` missing"));
+    let (run, skipped) = (counter("engine.ops_executed"), counter("engine.ops_skipped"));
+    assert!(skipped > 0, "a write burst leaves most blocks idle");
+    assert_eq!(run + skipped, counter("engine.settles") * im.compiled.program.op_count() as u64);
+    assert!(counter("engine.blocks_run") > 0);
+    assert!(counter("engine.commits_run") > 0);
+}
+
 /// Worker counts must be invisible: the same fan-out aggregated on 1, 2
 /// and 8 threads produces identical span signatures and counters.
 #[test]
